@@ -110,8 +110,8 @@ main()
     double serial_seconds = 0.0;
     bool identical = true;
     for (const int threads : {1, 2, 4, 8}) {
-        // A fresh Lab per width: cold caches, no disk cache, so every
-        // width performs the same measurement work.
+        // A fresh Lab per width: cold Lab caches, so every width
+        // performs the same Lab work.
         core::Lab lab(sim::MachineConfig::ivyBridge(), warmup, measure);
         lab.setParallelism(threads);
 

@@ -4,9 +4,10 @@
  *
  * Each bench binary regenerates one table or figure of the paper and
  * prints our measured series next to the values the paper reports.
- * Expensive co-location measurements are shared between binaries
- * through the Lab disk cache (one file per machine configuration in
- * the working directory; delete the files to re-measure).
+ * Machine runs are shared between binaries through the replay log
+ * (`smite_replay.log` in the working directory, sim/replay.h): one
+ * file serves every machine and interval, because its keys carry
+ * both. Delete it to re-measure.
  */
 
 #ifndef SMITE_BENCH_COMMON_H
@@ -57,37 +58,15 @@ benchMeasureCycles()
 }
 
 /**
- * Cache-file name for a machine configuration. Runs at non-default
- * simulation intervals get their own cache files — measurements taken
- * at different intervals must never mix.
- */
-inline std::string
-cacheFileFor(const sim::MachineConfig &config)
-{
-    std::string tag = config.microarchitecture;
-    for (char &c : tag) {
-        if (c == ' ' || c == '-')
-            c = '_';
-    }
-    const sim::Cycle warmup = benchWarmupCycles();
-    const sim::Cycle measure = benchMeasureCycles();
-    if (warmup != sim::kDefaultWarmupCycles ||
-        measure != sim::kDefaultMeasureCycles) {
-        tag += "_w" + std::to_string(warmup) + "_m" +
-               std::to_string(measure);
-    }
-    return "smite_lab_cache_" + tag + ".txt";
-}
-
-/**
- * Build a Lab with the shared disk cache enabled. (Returned as a
- * prvalue — the Lab is non-movable since its caches carry locks.)
+ * Build a Lab whose machine runs are served from, and written through
+ * to, the replay log in the working directory. (Returned as a prvalue
+ * — the Lab is non-movable since its caches carry locks.)
  */
 inline core::Lab
 makeLab(const sim::MachineConfig &config)
 {
-    return core::Lab(config, cacheFileFor(config),
-                     benchWarmupCycles(), benchMeasureCycles());
+    sim::openReplayLog();
+    return core::Lab(config, benchWarmupCycles(), benchMeasureCycles());
 }
 
 /**
@@ -316,8 +295,8 @@ runSpecPredictionExperiment(core::Lab &lab, core::CoLocationMode mode,
                 paper_smite, paper_pmu);
 
     // Replay audit: re-derive every test-set measurement in a fresh
-    // Lab with no disk cache. Its machine runs replay the run-level
-    // snapshots recorded by the fan-out above (machine.replay.hits in
+    // Lab. Its machine runs replay the run outcomes recorded by the
+    // fan-out above (machine.replay.hits in
     // the metrics snapshot counts them), and a replayed run is
     // contractually bit-equal to a live one — so this line is
     // byte-identical with SMITE_SIM_MEMO=0, where the audit simply

@@ -22,11 +22,11 @@ using namespace smite;
 int
 main()
 {
-    // 1. A machine to measure on.
+    // 1. A machine to measure on. Machine runs are shared with the
+    //    bench harnesses through the replay log (first run simulates,
+    //    reruns replay).
+    sim::openReplayLog();
     core::Lab lab(sim::MachineConfig::ivyBridge());
-    // Share measurements with the bench harnesses (first run
-    // simulates, reruns are instant).
-    lab.enableDiskCache("smite_lab_cache_Ivy_Bridge.txt");
     std::printf("machine: %s (%d cores x %d contexts)\n\n",
                 lab.machine().config().name.c_str(),
                 lab.machine().config().numCores,

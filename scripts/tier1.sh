@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite (parallel ctest), a
-# ThreadSanitizer pass over the parallel measurement engine, an
+# ThreadSanitizer pass over the parallel measurement engine, the full
+# test suite under AddressSanitizer + UndefinedBehaviorSanitizer, an
 # observability smoke run (trace + report emission, validated and
 # cross-checked against the documented catalog), and a markdown link
 # check over the top-level docs.
@@ -19,10 +20,17 @@ cmake -B build-tsan -S . -DSMITE_TSAN=ON
 cmake --build build-tsan -j"$JOBS" --target test_parallel
 ./build-tsan/tests/test_parallel
 
+# Memory-safety / UB check: the whole test suite under ASan + UBSan
+# (any UBSan report is fatal, not just printed).
+cmake -B build-asan -S . -DSMITE_ASAN=ON -DSMITE_UBSAN=ON
+cmake --build build-asan -j"$JOBS"
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --test-dir build-asan --output-on-failure -j"$JOBS"
+
 # --- Observability smoke -------------------------------------------
 # Run one real figure harness with tracing + metrics on (tiny
-# simulation intervals so it finishes in seconds; the non-default
-# intervals get their own scratch disk cache), validate both emitted
+# simulation intervals so it finishes in seconds, in a scratch
+# directory so its replay log starts empty), validate both emitted
 # artifacts, and grep every span/metric name the run produced against
 # the catalog in docs/OBSERVABILITY.md.
 OBS_DIR="$(mktemp -d)"
@@ -62,7 +70,8 @@ echo "observability smoke: ok"
 # The same harness under a four-site fault plan must complete without
 # aborting, and the injected-fault / retry counters must be non-zero
 # (docs/ROBUSTNESS.md). Runs in a fresh directory so the chaos run
-# never shares a disk cache with the clean runs below.
+# never shares a replay log with the clean runs below; its
+# `disk.corrupt` clause damages that log's appends.
 CHAOS_DIR="$(mktemp -d)"
 (
     cd "$CHAOS_DIR"
@@ -125,28 +134,34 @@ rm -rf "$DET_A" "$DET_B"
 echo "determinism: ok"
 
 # --- Replay byte-identity gate --------------------------------------
-# The run-level replay stores (sim/replay.h) claim byte-identity: a
-# figure harness with interval memoization + warm-state snapshots on
-# (the default) must produce stdout byte-identical to the same run
-# with SMITE_SIM_MEMO=0 (both stores off, every interval simulated
-# live). Fresh directories so neither run sees a shared disk cache.
-MEMO_ON="$(mktemp -d)"
-MEMO_OFF="$(mktemp -d)"
+# The run-level replay stores (sim/replay.h) claim byte-identity, and
+# the replay log carries them across processes. Three runs of one
+# figure harness must produce byte-identical stdout: cold in a fresh
+# directory (every run simulated, then logged), warm in the same
+# directory (every run served from the log: the report must show
+# preloaded records and zero replay misses), and SMITE_SIM_MEMO=0
+# (both stores off, the log neither read nor written, every interval
+# simulated live).
+MEMO_DIR="$(mktemp -d)"
 (
-    cd "$MEMO_ON"
-    SMITE_BENCH_WARMUP=2000 SMITE_BENCH_MEASURE=8000 \
+    cd "$MEMO_DIR"
+    export SMITE_BENCH_WARMUP=2000 SMITE_BENCH_MEASURE=8000
+    "$REPO/build/bench/bench_fig10_spec_smt_prediction" > cold.stdout
+    SMITE_METRICS=1 \
         "$REPO/build/bench/bench_fig10_spec_smt_prediction" \
-        > fig10.stdout
-)
-(
-    cd "$MEMO_OFF"
+        > warm.stdout
+    "$REPO/build/tools/obs_check" report \
+        bench_fig10_spec_smt_prediction.report.json \
+        --nonzero machine.replay.log.preloaded > /dev/null
+    grep -qE '"machine\.replay\.misses": 0,?$' \
+        bench_fig10_spec_smt_prediction.report.json
     SMITE_SIM_MEMO=0 \
-    SMITE_BENCH_WARMUP=2000 SMITE_BENCH_MEASURE=8000 \
         "$REPO/build/bench/bench_fig10_spec_smt_prediction" \
-        > fig10.stdout
+        > memo_off.stdout
+    cmp cold.stdout warm.stdout
+    cmp cold.stdout memo_off.stdout
 )
-cmp "$MEMO_ON/fig10.stdout" "$MEMO_OFF/fig10.stdout"
-rm -rf "$MEMO_ON" "$MEMO_OFF"
+rm -rf "$MEMO_DIR"
 echo "replay byte-identity: ok"
 
 # --- Simulator perf smoke ------------------------------------------

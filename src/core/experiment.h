@@ -6,9 +6,12 @@
  * many-instance co-location degradations — plus the training
  * protocols for the SMiTe and PMU models.
  *
- * Measurements are cached by (workload, mode, shape), so harnesses
- * that revisit the same co-locations (e.g. a figure sweep) pay for
- * each simulation once.
+ * Measurements are cached in memory by (workload, mode, shape), so
+ * harnesses that revisit the same co-locations (e.g. a figure sweep)
+ * derive each quantity once. Nothing here is persisted: every
+ * measurement is a pure function of machine runs, and runs are
+ * memoized — and, with sim::openReplayLog(), persisted across
+ * processes — by the content-addressed replay store (sim/replay.h).
  *
  * The Lab is safe to call from many threads at once: every cache is
  * a single-flight MemoCache (two threads never simulate the same key
@@ -44,7 +47,6 @@
 #include <vector>
 
 #include "core/characterize.h"
-#include "core/disk_cache.h"
 #include "core/memo_cache.h"
 #include "core/pmu_model.h"
 #include "core/smite_model.h"
@@ -68,11 +70,6 @@ class Lab
     explicit Lab(const sim::MachineConfig &config,
                  sim::Cycle warmup = sim::kDefaultWarmupCycles,
                  sim::Cycle measure = sim::kDefaultMeasureCycles);
-
-    /** Convenience: construct with the disk cache already enabled. */
-    Lab(const sim::MachineConfig &config, const std::string &cache_path,
-        sim::Cycle warmup = sim::kDefaultWarmupCycles,
-        sim::Cycle measure = sim::kDefaultMeasureCycles);
 
     // The characterizer holds a reference to machine_ and the caches
     // hold synchronization primitives; the Lab stays where it was
@@ -242,23 +239,6 @@ class Lab
     static double scaleToInstances(double pair_prediction, int instances,
                                    int threads);
 
-    /**
-     * Persist measurements under @p path (write-through) and preload
-     * any measurements already recorded there. Several experiment
-     * harnesses share co-location measurements this way instead of
-     * re-simulating them. Records are sharded across
-     * `<path>.shard0..N-1` by key hash (SMITE_CACHE_SHARDS files,
-     * default 4, each with its own writer lock); a legacy single
-     * file at @p path itself is still preloaded. Each file is a
-     * plain text key/value log headed by a version line; delete the
-     * files to invalidate. Corrupt or truncated lines are skipped
-     * with a warning on stderr.
-     */
-    void enableDiskCache(const std::string &path);
-
-    /** The sharded disk cache (for inspection in tests). */
-    const ShardedDiskCache &diskCache() const { return disk_; }
-
     /** Per-cache counts of measurements actually simulated. */
     struct Stats {
         std::uint64_t solo_ipc = 0;
@@ -282,8 +262,6 @@ class Lab
     Stats stats() const;
 
   private:
-    void appendToDisk(const std::string &key, const std::string &line);
-    void loadDiskCache(const std::string &path);
     std::string pairKey(const std::string &a, const std::string &b,
                         CoLocationMode mode) const;
 
@@ -347,8 +325,6 @@ class Lab
     MemoCache<std::string, double> multiCache_;
     MemoCache<std::string, std::array<double, sim::kNumPorts>>
         portCache_;
-
-    ShardedDiskCache disk_;  ///< not enabled() = disk cache disabled
 };
 
 } // namespace smite::core

@@ -147,7 +147,7 @@ class MemoCache
 
     /**
      * Insert a ready value if the key is absent (e.g. preloading from
-     * the disk cache, or publishing the mirror direction of a pair
+     * the replay log, or publishing the mirror direction of a pair
      * measurement). Existing entries — ready or in flight — win.
      */
     void

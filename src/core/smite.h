@@ -30,6 +30,7 @@
 #include "rulers/ruler.h"
 #include "sim/config.h"
 #include "sim/machine.h"
+#include "sim/replay.h"
 #include "stats/correlation.h"
 #include "stats/regression.h"
 #include "stats/summary.h"

@@ -7,33 +7,12 @@
 #include <numbers>
 #include <vector>
 
+#include "fault/keyed_hash.h"
 #include "obs/metrics.h"
 
 namespace smite::fault {
 
 namespace {
-
-/** SplitMix64 finalizer: a strong 64-bit avalanche mix. */
-std::uint64_t
-mix(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
-
-/** FNV-1a over a string (seeds and key hashing). */
-std::uint64_t
-hashString(std::string_view s)
-{
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001B3ull;
-    }
-    return h;
-}
 
 /** Uniform in (0, 1] from a mixed hash (never exactly 0 for log()). */
 double
@@ -46,8 +25,8 @@ uniform(std::uint64_t h)
 double
 standardNormal(std::uint64_t h)
 {
-    const double u1 = uniform(mix(h));
-    const double u2 = uniform(mix(h ^ 0xA5A5A5A5A5A5A5A5ull));
+    const double u1 = uniform(mix64(h));
+    const double u2 = uniform(mix64(h ^ 0xA5A5A5A5A5A5A5A5ull));
     return std::sqrt(-2.0 * std::log(u1)) *
            std::cos(2.0 * std::numbers::pi * u2);
 }
@@ -170,7 +149,7 @@ FaultPlan::arm(const std::string &site, const SiteSpec &spec)
     }
     it->second->spec = spec;
     it->second->seed =
-        spec.seed != 0 ? spec.seed : (hashString(site) | 1);
+        spec.seed != 0 ? spec.seed : (fnv1a(site) | 1);
 }
 
 void
@@ -226,7 +205,7 @@ FaultPlan::decide(Site &s, std::uint64_t key_hash, bool keyed)
         fire = index % s.spec.nth == 0;
     } else if (s.spec.probability > 0.0) {
         const std::uint64_t h =
-            mix(s.seed ^ (keyed ? key_hash : mix(index)));
+            mix64(s.seed ^ (keyed ? key_hash : mix64(index)));
         fire = uniform(h) <= s.spec.probability;
     }
     if (fire)
@@ -240,7 +219,7 @@ FaultPlan::shouldInject(const std::string &site, std::string_view key)
     if (!enabled())
         return false;
     Site *s = find(site);
-    return s != nullptr && decide(*s, hashString(key), /*keyed=*/true);
+    return s != nullptr && decide(*s, fnv1a(key), /*keyed=*/true);
 }
 
 bool
@@ -261,7 +240,7 @@ FaultPlan::gaussian(const std::string &site, std::string_view key)
     if (s == nullptr || s->spec.sigma == 0.0)
         return 0.0;
     return s->spec.sigma *
-           standardNormal(mix(s->seed ^ hashString(key)));
+           standardNormal(mix64(s->seed ^ fnv1a(key)));
 }
 
 double
@@ -274,7 +253,7 @@ FaultPlan::gaussianNext(const std::string &site)
         return 0.0;
     const std::uint64_t index =
         s->checks_seen.fetch_add(1, std::memory_order_relaxed) + 1;
-    return s->spec.sigma * standardNormal(mix(s->seed ^ mix(index)));
+    return s->spec.sigma * standardNormal(mix64(s->seed ^ mix64(index)));
 }
 
 void

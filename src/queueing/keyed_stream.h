@@ -3,8 +3,8 @@
  * Keyed randomness for the open-loop queueing layer.
  *
  * Same discipline as the scheduler's keyed churn streams
- * (src/scheduler/keyed.h, kept separate so the queueing layer stays
- * below the scheduler in the dependency order): every draw is a pure
+ * (src/scheduler/keyed.h) and the same primitive (fault/keyed_hash.h)
+ * under this layer's own draw domain: every draw is a pure
  * function of (seed, salt, a, b) — typically (seed, event kind,
  * stream id, occurrence index) — so an arrival gap or a service time
  * belongs to a *request*, not to the order in which requests happened
@@ -21,6 +21,8 @@
 #include <cmath>
 #include <cstdint>
 
+#include "fault/keyed_hash.h"
+
 namespace smite::queueing::keyed {
 
 /** Salts separating the queueing layer's event-kind streams. */
@@ -28,33 +30,18 @@ inline constexpr std::uint64_t kSaltArrival = 0x41525256ull;  // "ARRV"
 inline constexpr std::uint64_t kSaltService = 0x53455256ull;  // "SERV"
 inline constexpr std::uint64_t kSaltPhase = 0x50485345ull;    // "PHSE"
 
-/** SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation. */
-inline std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
+using fault::mix64;
+using fault::toUnit;
+
+/** The queueing layer's draw domain (see fault/keyed_hash.h). */
+inline constexpr std::uint64_t kDomain = 0x9e0c2b7d1f8a5e3bull;
 
 /** One keyed 64-bit draw: a pure function of (seed, salt, a, b). */
 inline std::uint64_t
 draw(std::uint64_t seed, std::uint64_t salt, std::uint64_t a,
      std::uint64_t b)
 {
-    std::uint64_t h = mix64(seed ^ 0x9e0c2b7d1f8a5e3bull);
-    h = mix64(h ^ salt);
-    h = mix64(h ^ a);
-    return mix64(h ^ b);
-}
-
-/** Map a 64-bit draw to a uniform double in [0, 1). */
-inline double
-toUnit(std::uint64_t h)
-{
-    // 53 mantissa bits: the usual exact uniform-double construction.
-    return static_cast<double>(h >> 11) * 0x1.0p-53;
+    return fault::draw(kDomain, seed, salt, a, b);
 }
 
 /**

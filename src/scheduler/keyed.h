@@ -36,6 +36,8 @@
 #include <limits>
 #include <string>
 
+#include "fault/keyed_hash.h"
+
 namespace smite::scheduler {
 
 /**
@@ -56,37 +58,23 @@ namespace keyed {
 inline constexpr std::int64_t kNever =
     std::numeric_limits<std::int64_t>::max();
 
-/** SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation. */
-inline std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
+using fault::mix64;
+using fault::toUnit;
+
+/** The scheduler's draw domain (see fault/keyed_hash.h). */
+inline constexpr std::uint64_t kDomain = 0x5851f42d4c957f2dull;
 
 /**
- * One keyed 64-bit draw: a pure function of (seed, salt, a, b). The
- * salt separates event kinds (failure vs departure vs probe...), so
- * streams never collide even for equal (a, b).
+ * One keyed 64-bit draw in the scheduler domain: a pure function of
+ * (seed, salt, a, b). The salt separates event kinds (failure vs
+ * departure vs probe...), so streams never collide even for equal
+ * (a, b).
  */
 inline std::uint64_t
 draw(std::uint64_t seed, std::uint64_t salt, std::uint64_t a,
      std::uint64_t b)
 {
-    std::uint64_t h = mix64(seed ^ 0x5851f42d4c957f2dull);
-    h = mix64(h ^ salt);
-    h = mix64(h ^ a);
-    return mix64(h ^ b);
-}
-
-/** Map a 64-bit draw to a uniform double in [0, 1). */
-inline double
-toUnit(std::uint64_t h)
-{
-    // 53 mantissa bits: the usual exact uniform-double construction.
-    return static_cast<double>(h >> 11) * 0x1.0p-53;
+    return fault::draw(kDomain, seed, salt, a, b);
 }
 
 /**

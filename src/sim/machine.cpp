@@ -412,7 +412,10 @@ Machine::run(const std::vector<Placement> &placements, Cycle warmup,
         bool computed = false;
         const ReplayEntry &stored = replayStore().getOrCompute(key, [&] {
             computed = true;
-            return runLive(placements, warmup, measure, snapshots);
+            ReplayEntry live =
+                runLive(placements, warmup, measure, snapshots);
+            ReplayLog::global().append(key, live);
+            return live;
         });
         if (!computed) {
             static obs::Counter &restored =

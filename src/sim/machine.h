@@ -64,7 +64,8 @@ class Machine
      * (UopSource::streamDigest() != 0) and replay is enabled
      * (sim/replay.h), a repeated run is served out of the run-level
      * ReplayStore without ticking — byte-identical to a live run by
-     * contract. The `sim.replay` fault site, when armed, forces
+     * contract — and a recorded run is written through to the open
+     * ReplayLog, if any. The `sim.replay` fault site, when armed, forces
      * individual runs down the live path (chaos coverage for the
      * byte-identity claim).
      *

@@ -29,6 +29,11 @@
  * compare). Sources that cannot promise a stream identity
  * (UopSource::streamDigest() == 0) and reference-ticking runs bypass
  * the ReplayStore automatically.
+ *
+ * The ReplayStore is also the only measurement state that outlives a
+ * process: the **ReplayLog** persists it, keyed as above and salted
+ * with kModelVersion, so one log serves every machine and interval
+ * and never serves a different model's results.
  */
 
 #ifndef SMITE_SIM_REPLAY_H
@@ -36,6 +41,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/memo_cache.h"
@@ -82,6 +89,95 @@ using ReplayKey = std::vector<std::uint64_t>;
  * count `machine.replay.bytes_restored` (see machine.cpp).
  */
 core::MemoCache<ReplayKey, ReplayEntry> &replayStore();
+
+/**
+ * Simulator-model version, salted into every persisted replay record;
+ * records of any other version are skipped on load. Bump it with any
+ * change that can move a run outcome (model semantics, digest inputs,
+ * CounterBlock fields). tests/test_golden_sim.cpp pins it next to a
+ * digest of the golden outcomes.
+ */
+inline constexpr std::uint64_t kModelVersion = 1;
+
+/** Default replay-log file name, relative to the working directory. */
+inline constexpr const char *kDefaultReplayLog = "smite_replay.log";
+
+/**
+ * Write-through, append-only persistence for a replay store.
+ *
+ * One record per line, every field a lowercase hex word:
+ *
+ *   version  key-size  key...  result-count  counter-words...
+ *   idle-skipped  wake-events  checksum
+ *
+ * The counter words are each CounterBlock's uint64 fields in
+ * declaration order; the checksum is a Digest of every preceding
+ * word. Nothing passes through floating-point formatting, so a
+ * loaded entry is bit-equal to the recorded one.
+ *
+ * Crash safety: each record (newline included) is one O_APPEND
+ * write(2) under one mutex, so records never interleave and a crash
+ * tears at most the final line. The reader skips, and counts, every
+ * line that is torn (no newline), corrupt (malformed or checksum
+ * mismatch) or stale (another kModelVersion): losing a record only
+ * costs re-simulating its run. The `disk.corrupt` fault site damages
+ * appended records to exercise exactly that path.
+ */
+class ReplayLog
+{
+  public:
+    /** Outcome of one load() pass over the file. */
+    struct LoadStats {
+        std::uint64_t loaded = 0;   ///< valid records (duplicates too)
+        std::uint64_t corrupt = 0;  ///< torn, malformed or bad checksum
+        std::uint64_t stale = 0;    ///< valid, but another version
+    };
+
+    ReplayLog() = default;
+    ~ReplayLog();
+    ReplayLog(const ReplayLog &) = delete;
+    ReplayLog &operator=(const ReplayLog &) = delete;
+
+    /**
+     * Direct later appends to @p path. Performs no I/O: the file is
+     * created by the first append.
+     */
+    void open(const std::string &path);
+
+    /** The path passed to open(), or empty. */
+    std::string path() const;
+
+    /**
+     * Put every valid current-version record of path() into @p store
+     * (existing entries win). A missing file loads nothing.
+     */
+    LoadStats load(core::MemoCache<ReplayKey, ReplayEntry> &store) const;
+
+    /** Append one record; no-op before open(). */
+    void append(const ReplayKey &key, const ReplayEntry &entry);
+
+    /** One record line (no newline) as append() writes it. */
+    static std::string encode(const ReplayKey &key,
+                              const ReplayEntry &entry,
+                              std::uint64_t version = kModelVersion);
+
+    /** The process-wide log behind replayStore(). */
+    static ReplayLog &global();
+
+  private:
+    mutable std::mutex mu_;
+    std::string path_;
+    int fd_ = -1;  ///< opened by the first append
+};
+
+/**
+ * Open the process-wide ReplayLog at @p path: preload replayStore()
+ * from it and write every later replay miss through to it. Counts
+ * `machine.replay.log.{preloaded,corrupt,stale}`. Re-opening the
+ * path already open is a no-op; with replay disabled
+ * (`SMITE_SIM_MEMO=0`) the log is neither read nor written.
+ */
+void openReplayLog(const std::string &path = kDefaultReplayLog);
 
 /**
  * Bounded store of shared immutable post-prewarm L3 images.

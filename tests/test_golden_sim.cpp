@@ -30,7 +30,9 @@
 #include <vector>
 
 #include "sim/cache.h"
+#include "sim/digest.h"
 #include "sim/machine.h"
+#include "sim/replay.h"
 #include "sim/tlb.h"
 #include "workload/generator.h"
 #include "workload/rng.h"
@@ -482,6 +484,35 @@ TEST(GoldenMachine, CountersMatchSeedBehavior)
             }
         }
     }
+}
+
+/**
+ * The replay-log model version moves with the goldens. Persisted
+ * replay records (sim/replay.h) are salted with kModelVersion, so a
+ * change that moves any golden counter must also bump that version —
+ * otherwise logs written by the old model would serve stale counters.
+ * The digest of the golden outcomes is pinned next to the version it
+ * was recorded under; when the goldens move, bump sim::kModelVersion
+ * and record the new pair here.
+ */
+TEST(GoldenMachine, ModelVersionTracksGoldenOutcomes)
+{
+    constexpr std::uint64_t kRecordedVersion = 1;
+    constexpr std::uint64_t kRecordedDigest = 0x3a7ca232f8c644f8ull;
+
+    Digest digest;
+    for (int s = 0; s < kNumScenarios; ++s) {
+        for (const CounterBlock &block : runScenario(s)) {
+            for (const std::uint64_t field : flatten(block))
+                digest.u64(field);
+        }
+    }
+    EXPECT_EQ(digest.value(), kRecordedDigest)
+        << "golden outcomes moved: bump sim::kModelVersion and record "
+           "the new digest with it";
+    EXPECT_EQ(kModelVersion, kRecordedVersion)
+        << "sim::kModelVersion changed: record it with the golden "
+           "digest it belongs to";
 }
 
 // ===================================================================
