@@ -36,7 +36,7 @@ main()
             for (const auto &b : apps) {
                 if (a.name == b.name)
                     continue;
-                data.first.push_back(core::PmuModel::features(
+                data.first.push_back(core::PmuPredictor::features(
                     lab.pmuProfile(a), lab.pmuProfile(b)));
                 data.second.push_back(
                     lab.pairDegradation(a, b, mode));

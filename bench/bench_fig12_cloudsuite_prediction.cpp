@@ -13,7 +13,6 @@
  */
 
 #include "bench/common.h"
-#include "core/parallel.h"
 
 using namespace smite;
 
@@ -29,55 +28,37 @@ runMode(core::Lab &lab, core::CoLocationMode mode, int threads,
     std::printf("\n--- %s co-location: %d latency threads, 1..%d "
                 "batch instances ---\n", core::modeName(mode), threads,
                 threads);
-    const core::SmiteModel smite = lab.trainSmite(train, mode);
-    const core::PmuModel pmu = lab.trainPmu(train, mode);
+    const core::TrainingCorpus corpus =
+        core::trainingCorpus(lab, train, mode);
+    const core::SmitePredictor smite =
+        core::SmitePredictor::train(corpus.samples);
+    const core::PmuPredictor pmu = core::PmuPredictor::train(corpus.samples);
 
     // Fan out everything the reporting loop needs: test-set and
-    // CloudSuite characterizations, and the full (latency app, batch,
+    // CloudSuite signatures, and the full (latency app, batch,
     // instance-count) measurement grid — all independent simulations.
     const auto clouds = workload::cloudsuite::all();
-    lab.characterizeAll(test, mode);
-    lab.pmuProfileAll(test);
-    lab.characterizeAll(clouds, mode, threads);
-    lab.pmuProfileAll(clouds);
-    struct Task {
-        const workload::WorkloadProfile *cloud;
-        const workload::WorkloadProfile *batch;
-        int instances;
-    };
-    std::vector<Task> grid;
-    for (const auto &cloud : clouds) {
-        for (const auto &batch : test) {
-            for (int k = 1; k <= threads; ++k)
-                grid.push_back(Task{&cloud, &batch, k});
-        }
-    }
-    core::parallelFor(
-        grid.size(),
-        [&](std::size_t i) {
-            lab.multiInstanceDegradation(*grid[i].cloud, threads,
-                                         *grid[i].batch,
-                                         grid[i].instances, mode);
-        },
-        lab.parallelism());
+    const std::vector<core::WorkloadSignature> test_sigs =
+        core::signaturesOf(lab, test, mode);
+    const std::vector<core::WorkloadSignature> cloud_sigs =
+        core::signaturesOf(lab, clouds, mode, threads);
+    lab.multiInstancePrefetch(clouds, threads, test, threads, mode);
 
     std::printf("%-16s %8s %8s %8s %12s %10s\n", "latency app",
                 "min deg", "avg deg", "max deg", "SMiTe err",
                 "PMU err");
     double total_smite = 0, total_pmu = 0;
-    for (const auto &cloud : workload::cloudsuite::all()) {
-        const auto &cloud_char =
-            lab.characterization(cloud, mode, threads);
-        const auto cloud_pmu = lab.pmuProfile(cloud);
-
+    for (std::size_t c = 0; c < clouds.size(); ++c) {
+        const auto &cloud = clouds[c];
         double min_deg = 1e9, max_deg = -1e9, sum_deg = 0;
         double smite_err = 0, pmu_err = 0;
         int n = 0;
-        for (const auto &batch : test) {
-            const double pair_smite = smite.predict(
-                cloud_char, lab.characterization(batch, mode));
+        for (std::size_t b = 0; b < test.size(); ++b) {
+            const auto &batch = test[b];
+            const double pair_smite =
+                smite.predictDegradation(cloud_sigs[c], test_sigs[b]);
             const double pair_pmu =
-                pmu.predict(cloud_pmu, lab.pmuProfile(batch));
+                pmu.predictDegradation(cloud_sigs[c], test_sigs[b]);
             for (int k = 1; k <= threads; ++k) {
                 const double actual = lab.multiInstanceDegradation(
                     cloud, threads, batch, k, mode);

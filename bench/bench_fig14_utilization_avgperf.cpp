@@ -23,12 +23,10 @@ main()
                   "QoS targets (SMiTe vs Oracle)");
 
     core::Lab lab = bench::makeLab(sim::MachineConfig::sandyBridgeEN());
-    const auto mode = core::CoLocationMode::kSmt;
-    const auto train = workload::spec2006::oddNumbered();
     const auto batch = workload::spec2006::evenNumbered();
     const auto &latency = workload::cloudsuite::all();
 
-    const core::SmiteModel model = lab.trainSmite(train, mode);
+    const core::SmitePredictor model = bench::scaleoutPredictor(lab);
     const auto pairings =
         bench::buildAvgPerfPairings(lab, model, latency, batch);
     const scheduler::Cluster cluster(pairings, bench::namesOf(latency),

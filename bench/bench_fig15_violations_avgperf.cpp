@@ -18,9 +18,7 @@ main()
                   "utilization (average-performance QoS)");
 
     core::Lab lab = bench::makeLab(sim::MachineConfig::sandyBridgeEN());
-    const auto mode = core::CoLocationMode::kSmt;
-    const core::SmiteModel model =
-        lab.trainSmite(workload::spec2006::oddNumbered(), mode);
+    const core::SmitePredictor model = bench::scaleoutPredictor(lab);
     const auto pairings = bench::buildAvgPerfPairings(
         lab, model, workload::cloudsuite::all(),
         workload::spec2006::evenNumbered());

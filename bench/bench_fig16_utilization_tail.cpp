@@ -19,9 +19,7 @@ main()
                   "latency QoS targets (SMiTe vs Oracle)");
 
     core::Lab lab = bench::makeLab(sim::MachineConfig::sandyBridgeEN());
-    const auto mode = core::CoLocationMode::kSmt;
-    const core::SmiteModel model =
-        lab.trainSmite(workload::spec2006::oddNumbered(), mode);
+    const core::SmitePredictor model = bench::scaleoutPredictor(lab);
 
     std::vector<workload::WorkloadProfile> latency = {
         workload::cloudsuite::byName("Web-Search"),

@@ -20,9 +20,7 @@ main()
                   "utilization (90th-percentile latency QoS)");
 
     core::Lab lab = bench::makeLab(sim::MachineConfig::sandyBridgeEN());
-    const auto mode = core::CoLocationMode::kSmt;
-    const core::SmiteModel model =
-        lab.trainSmite(workload::spec2006::oddNumbered(), mode);
+    const core::SmitePredictor model = bench::scaleoutPredictor(lab);
 
     std::vector<workload::WorkloadProfile> latency = {
         workload::cloudsuite::byName("Web-Search"),

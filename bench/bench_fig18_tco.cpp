@@ -53,9 +53,7 @@ main()
                   "co-location");
 
     core::Lab lab = bench::makeLab(sim::MachineConfig::sandyBridgeEN());
-    const auto mode = core::CoLocationMode::kSmt;
-    const core::SmiteModel model =
-        lab.trainSmite(workload::spec2006::oddNumbered(), mode);
+    const core::SmitePredictor model = bench::scaleoutPredictor(lab);
     const auto batch = workload::spec2006::evenNumbered();
 
     const tco::TcoModel tco_model;  // Google-fleet PUE 1.12 default

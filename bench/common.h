@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "core/parallel.h"
 #include "core/smite.h"
@@ -208,13 +209,16 @@ runSpecPredictionExperiment(core::Lab &lab, core::CoLocationMode mode,
     std::printf("training SMiTe + PMU models on the %zu even-numbered "
                 "benchmarks (%s co-location, %d threads)...\n",
                 train.size(), core::modeName(mode), lab.parallelism());
-    const core::SmiteModel smite = lab.trainSmite(train, mode);
-    const core::PmuModel pmu = lab.trainPmu(train, mode);
+    const core::TrainingCorpus corpus =
+        core::trainingCorpus(lab, train, mode);
+    const core::SmitePredictor smite =
+        core::SmitePredictor::train(corpus.samples);
+    const core::PmuPredictor pmu = core::PmuPredictor::train(corpus.samples);
 
     // Fan the test-set measurements out before the reporting loop so
     // the serial printing below runs entirely on cache hits.
-    lab.characterizeAll(test, mode);
-    lab.pmuProfileAll(test);
+    const std::vector<core::WorkloadSignature> sigs =
+        core::signaturesOf(lab, test, mode);
     lab.measureAllPairs(test, mode);
 
     std::printf("\nSMiTe coefficients c_i:");
@@ -231,32 +235,40 @@ runSpecPredictionExperiment(core::Lab &lab, core::CoLocationMode mode,
     obs::json::Value per_benchmark = obs::json::Value::array();
     double total_measured = 0, total_smite = 0, total_pmu = 0;
     int skipped_pairs = 0;
-    for (const auto &victim : test) {
+    for (std::size_t v = 0; v < test.size(); ++v) {
+        const auto &victim = test[v];
         double measured = 0, smite_err = 0, pmu_err = 0;
         int n = 0;
-        for (const auto &aggressor : test) {
-            if (victim.name == aggressor.name)
+        for (std::size_t a = 0; a < test.size(); ++a) {
+            const auto &aggressor = test[a];
+            if (v == a)
                 continue;
             // A pair whose measurement failed past the Lab's retry
             // budget is skipped (and the run reported partial) rather
             // than aborting the whole evaluation.
+            auto skip = [&](const char *why) {
+                ++skipped_pairs;
+                obs::IncidentLog::global().record(
+                    "evaluation: skipped pair " + victim.name + "|" +
+                    aggressor.name + ": " + why);
+            };
+            if (!sigs[v].valid || !sigs[a].valid) {
+                skip("invalid signature");
+                continue;
+            }
             try {
                 const double actual =
                     lab.pairDegradation(victim, aggressor, mode);
-                const double p_smite = smite.predict(
-                    lab.characterization(victim, mode),
-                    lab.characterization(aggressor, mode));
-                const double p_pmu = pmu.predict(
-                    lab.pmuProfile(victim), lab.pmuProfile(aggressor));
+                const double p_smite =
+                    smite.predictDegradation(sigs[v], sigs[a]);
+                const double p_pmu =
+                    pmu.predictDegradation(sigs[v], sigs[a]);
                 measured += actual;
                 smite_err += std::abs(p_smite - actual);
                 pmu_err += std::abs(p_pmu - actual);
                 ++n;
             } catch (const fault::MeasurementError &err) {
-                ++skipped_pairs;
-                obs::IncidentLog::global().record(
-                    "evaluation: skipped pair " + victim.name + "|" +
-                    aggressor.name + ": " + err.what());
+                skip(err.what());
             }
         }
         if (n == 0) {

@@ -25,45 +25,68 @@ inline constexpr int kLatencyThreads = 6;
 inline constexpr int kServersPerApp = 1000;
 
 /**
+ * The predictor the scale-out studies steer with: Equation 3 trained
+ * on the odd-numbered SPEC benchmarks (the even-numbered ones are the
+ * batch candidates).
+ */
+inline core::SmitePredictor
+scaleoutPredictor(core::Lab &lab)
+{
+    return core::SmitePredictor::train(
+        core::trainingCorpus(lab, workload::spec2006::oddNumbered(),
+                             core::CoLocationMode::kSmt)
+            .samples);
+}
+
+/** Signatures of a scale-out sweep's latency and batch apps. */
+struct ScaleoutSignatures {
+    std::vector<core::WorkloadSignature> latency;  ///< kLatencyThreads each
+    std::vector<core::WorkloadSignature> batch;    ///< single-threaded
+};
+
+/**
  * Fan the full measurement grid of a scale-out sweep — latency-app
- * and batch-app characterizations plus every (latency, batch,
+ * and batch-app signatures plus every (latency, batch,
  * 1..kLatencyThreads) multi-instance degradation — out across the
  * Lab's thread pool (width: SMITE_THREADS). The serial table-assembly
  * loops below then run entirely on cache hits, so their output is
  * byte-identical to the all-serial protocol (verified by
  * bench_parallel_scaling).
  */
-inline void
+inline ScaleoutSignatures
 prefetchScaleoutGrid(core::Lab &lab,
                      const std::vector<workload::WorkloadProfile> &latency,
                      const std::vector<workload::WorkloadProfile> &batch)
 {
     const auto mode = core::CoLocationMode::kSmt;
-    lab.characterizeAll(latency, mode, kLatencyThreads);
-    lab.characterizeAll(batch, mode);
+    ScaleoutSignatures sigs{
+        core::signaturesOf(lab, latency, mode, kLatencyThreads),
+        core::signaturesOf(lab, batch, mode)};
     lab.multiInstancePrefetch(latency, kLatencyThreads, batch,
                               kLatencyThreads, mode);
+    return sigs;
 }
 
 /**
  * Average-performance QoS tables: QoS = 1 - degradation, actual from
- * many-instance co-location measurements, predicted from the SMiTe
- * model scaled to the instance count.
+ * many-instance co-location measurements, predicted from
+ * @p predictor's pair prediction scaled to the instance count.
  */
 inline std::vector<scheduler::Pairing>
-buildAvgPerfPairings(core::Lab &lab, const core::SmiteModel &model,
+buildAvgPerfPairings(core::Lab &lab, const core::Predictor &predictor,
                      const std::vector<workload::WorkloadProfile> &latency,
                      const std::vector<workload::WorkloadProfile> &batch)
 {
     const auto mode = core::CoLocationMode::kSmt;
-    prefetchScaleoutGrid(lab, latency, batch);
+    const ScaleoutSignatures sigs =
+        prefetchScaleoutGrid(lab, latency, batch);
     std::vector<scheduler::Pairing> pairings;
-    for (const auto &cloud : latency) {
-        const auto &cloud_char =
-            lab.characterization(cloud, mode, kLatencyThreads);
-        for (const auto &b : batch) {
-            const double pair_prediction = model.predict(
-                cloud_char, lab.characterization(b, mode));
+    for (std::size_t l = 0; l < latency.size(); ++l) {
+        const auto &cloud = latency[l];
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            const auto &b = batch[i];
+            const double pair_prediction = predictor.predictDegradation(
+                sigs.latency[l], sigs.batch[i]);
             scheduler::Pairing pairing;
             pairing.latencyApp = cloud.name;
             pairing.batchApp = b.name;
@@ -87,25 +110,26 @@ buildAvgPerfPairings(core::Lab &lab, const core::SmiteModel &model,
  * Tail-latency QoS tables: QoS = solo p90 / degraded p90, so a QoS
  * target of q allows the 90th percentile to stretch by 1/q. Actual
  * tail latency comes from a queueing simulation driven by the
- * measured degradation; predicted from Equation 6 on the predicted
- * degradation.
+ * measured degradation; predicted from Equation 6 on
+ * @p predictor's degradation.
  */
 inline std::vector<scheduler::Pairing>
-buildTailPairings(core::Lab &lab, const core::SmiteModel &model,
+buildTailPairings(core::Lab &lab, const core::Predictor &predictor,
                   const std::vector<workload::WorkloadProfile> &latency,
                   const std::vector<workload::WorkloadProfile> &batch)
 {
     const auto mode = core::CoLocationMode::kSmt;
-    prefetchScaleoutGrid(lab, latency, batch);
+    const ScaleoutSignatures sigs =
+        prefetchScaleoutGrid(lab, latency, batch);
     std::vector<scheduler::Pairing> pairings;
-    for (const auto &cloud : latency) {
-        const core::TailLatencyPredictor predictor(cloud);
-        const double solo_p90 = predictor.soloPercentile(0.90);
-        const auto &cloud_char =
-            lab.characterization(cloud, mode, kLatencyThreads);
-        for (const auto &b : batch) {
-            const double pair_prediction = model.predict(
-                cloud_char, lab.characterization(b, mode));
+    for (std::size_t l = 0; l < latency.size(); ++l) {
+        const auto &cloud = latency[l];
+        const core::TailLatencyPredictor tail(cloud);
+        const double solo_p90 = tail.soloPercentile(0.90);
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            const auto &b = batch[i];
+            const double pair_prediction = predictor.predictDegradation(
+                sigs.latency[l], sigs.batch[i]);
             scheduler::Pairing pairing;
             pairing.latencyApp = cloud.name;
             pairing.batchApp = b.name;
@@ -120,10 +144,9 @@ buildTailPairings(core::Lab &lab, const core::SmiteModel &model,
                     0.0);
                 scheduler::CoLocationOption option;
                 option.actualQos =
-                    solo_p90 /
-                    predictor.measurePercentile(0.90, actual_deg);
+                    solo_p90 / tail.measurePercentile(0.90, actual_deg);
                 const double predicted_p90 =
-                    predictor.predictPercentile(0.90, predicted_deg);
+                    tail.predictPercentile(0.90, predicted_deg);
                 option.predictedQos =
                     std::isfinite(predicted_p90)
                         ? solo_p90 / predicted_p90

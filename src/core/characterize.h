@@ -19,6 +19,7 @@
 
 #include "core/memo_cache.h"
 #include "rulers/ruler.h"
+#include "sim/counters.h"
 #include "sim/machine.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
@@ -52,6 +53,9 @@ struct Characterization {
      */
     bool valid = true;
 };
+
+/** Solo PMU profile of one application (the 11 rates of Eq. 9). */
+using PmuProfile = std::array<double, sim::kNumPmuRates>;
 
 /**
  * Runs the Ruler co-location protocol on a machine.

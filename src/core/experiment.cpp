@@ -508,84 +508,6 @@ Lab::multiInstancePrefetch(
         workers);
 }
 
-SmiteModel
-Lab::trainSmite(const std::vector<workload::WorkloadProfile> &training_set,
-                CoLocationMode mode)
-{
-    obs::Span span("lab.train_smite", modeName(mode));
-    static obs::Counter &dropped =
-        obs::Registry::global().counter("lab.dropped_samples");
-    // Fan the independent measurements out; the serial assembly below
-    // then reads the batch results in the original sample order.
-    const std::vector<Characterization> chars =
-        characterizeAll(training_set, mode);
-    const std::vector<std::vector<double>> pairs =
-        measureAllPairs(training_set, mode);
-
-    std::vector<SmiteModel::Sample> samples;
-    for (std::size_t i = 0; i < training_set.size(); ++i) {
-        for (std::size_t j = 0; j < training_set.size(); ++j) {
-            if (training_set[i].name == training_set[j].name)
-                continue;
-            // A sample whose characterization or degradation failed
-            // past the retry budget is dropped from the fit, not
-            // allowed to poison it.
-            if (!chars[i].valid || !chars[j].valid ||
-                std::isnan(pairs[i][j])) {
-                dropped.add();
-                obs::IncidentLog::global().record(
-                    "trainSmite: dropped sample " +
-                    training_set[i].name + "|" + training_set[j].name +
-                    " (" + modeName(mode) + ")");
-                continue;
-            }
-            SmiteModel::Sample s;
-            s.victim = chars[i];
-            s.aggressor = chars[j];
-            s.degradation = pairs[i][j];
-            samples.push_back(std::move(s));
-        }
-    }
-    return SmiteModel::train(samples);
-}
-
-PmuModel
-Lab::trainPmu(const std::vector<workload::WorkloadProfile> &training_set,
-              CoLocationMode mode)
-{
-    obs::Span span("lab.train_pmu", modeName(mode));
-    static obs::Counter &dropped =
-        obs::Registry::global().counter("lab.dropped_samples");
-    const std::vector<PmuProfile> profiles =
-        pmuProfileAll(training_set);
-    const std::vector<std::vector<double>> pairs =
-        measureAllPairs(training_set, mode);
-
-    std::vector<PmuModel::Sample> samples;
-    for (std::size_t i = 0; i < training_set.size(); ++i) {
-        for (std::size_t j = 0; j < training_set.size(); ++j) {
-            if (training_set[i].name == training_set[j].name)
-                continue;
-            if (std::isnan(profiles[i][0]) ||
-                std::isnan(profiles[j][0]) ||
-                std::isnan(pairs[i][j])) {
-                dropped.add();
-                obs::IncidentLog::global().record(
-                    "trainPmu: dropped sample " + training_set[i].name +
-                    "|" + training_set[j].name + " (" + modeName(mode) +
-                    ")");
-                continue;
-            }
-            PmuModel::Sample s;
-            s.victim = profiles[i];
-            s.aggressor = profiles[j];
-            s.degradation = pairs[i][j];
-            samples.push_back(std::move(s));
-        }
-    }
-    return PmuModel::train(samples);
-}
-
 double
 Lab::scaleToInstances(double pair_prediction, int instances, int threads)
 {

@@ -3,8 +3,8 @@
  * The experiment lab: a memoizing front end over the machine model
  * that provides every measurement the paper's evaluation needs —
  * solo IPCs, PMU profiles, Ruler characterizations, pair and
- * many-instance co-location degradations — plus the training
- * protocols for the SMiTe and PMU models.
+ * many-instance co-location degradations. The predictors train on
+ * corpora built from these measurements (core/predictor.h).
  *
  * Measurements are cached in memory by (workload, mode, shape), so
  * harnesses that revisit the same co-locations (e.g. a figure sweep)
@@ -29,10 +29,11 @@
  * every measurement is retried with backoff on a transient
  * MeasurementError (SMITE_LAB_RETRIES attempts, default 3), can run
  * as a median-of-N multi-trial protocol with MAD outlier rejection
- * (SMITE_LAB_TRIALS, default 1), and the batch/training APIs degrade
- * gracefully — a sample that fails past the retry budget is marked
- * invalid or dropped from the fit and logged to the IncidentLog
- * instead of aborting the run. With no faults armed none of this
+ * (SMITE_LAB_TRIALS, default 1), and the batch APIs degrade
+ * gracefully — a measurement that fails past the retry budget is
+ * marked invalid (or NaN) and logged to the IncidentLog instead of
+ * aborting the run; the training corpus then drops the samples that
+ * rest on it (core/predictor.h). With no faults armed none of this
  * changes a single output byte.
  */
 
@@ -48,8 +49,6 @@
 
 #include "core/characterize.h"
 #include "core/memo_cache.h"
-#include "core/pmu_model.h"
-#include "core/smite_model.h"
 #include "fault/fault.h"
 #include "sim/machine.h"
 #include "workload/profile.h"
@@ -214,22 +213,6 @@ class Lab
         int threads,
         const std::vector<workload::WorkloadProfile> &batch,
         int max_instances, CoLocationMode mode);
-
-    /**
-     * Train a SMiTe model: characterize every workload in
-     * @p training_set, measure all ordered co-location pairs among
-     * them (both phases parallel, see the batch APIs), and fit
-     * Equation 3. The sample order — and therefore the fit — is
-     * identical to the serial protocol.
-     */
-    SmiteModel trainSmite(
-        const std::vector<workload::WorkloadProfile> &training_set,
-        CoLocationMode mode);
-
-    /** Train the PMU baseline (Equation 9) on the same protocol. */
-    PmuModel trainPmu(
-        const std::vector<workload::WorkloadProfile> &training_set,
-        CoLocationMode mode);
 
     /**
      * Predicted degradation for the many-instance protocol: the

@@ -1,13 +1,14 @@
 #include "core/predictor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "core/experiment.h"
-#include "core/prediction_guard.h"
 #include "fault/fault.h"
 #include "obs/incident.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace smite::core {
 
@@ -64,6 +65,31 @@ signatureFinite(const WorkloadSignature &s)
             return false;
     }
     return true;
+}
+
+/**
+ * Least-squares fit of one feature row per sample, in sample order.
+ * @p features maps a sample to its row; @p num_features is the row
+ * length the fit needs more samples than, named by @p what.
+ */
+template <typename Features>
+stats::LinearModel
+fitRows(const std::vector<PredictorSample> &samples, int num_features,
+        const char *what, double ridge, Features features)
+{
+    if (samples.size() <= static_cast<std::size_t>(num_features)) {
+        throw std::invalid_argument(
+            std::string("need more samples than ") + what);
+    }
+    std::vector<std::vector<double>> x;
+    std::vector<double> y;
+    x.reserve(samples.size());
+    y.reserve(samples.size());
+    for (const PredictorSample &s : samples) {
+        x.push_back(features(s));
+        y.push_back(s.degradation);
+    }
+    return stats::LinearModel::fit(x, y, ridge);
 }
 
 /** Minimum solo IPC a prediction denominator may rest on. */
@@ -132,7 +158,7 @@ Predictor::predictDegradation(
     }
     if (raw < 0.0 || raw > 1.0)
         clampedCounter().add();
-    return guardDegradation(raw, "Predictor");
+    return std::clamp(raw, 0.0, 1.0);
 }
 
 double
@@ -142,20 +168,26 @@ Predictor::predictDegradation(const WorkloadSignature &victim,
     return predictDegradation(victim, {&aggressor});
 }
 
+std::vector<double>
+SmitePredictor::features(const Characterization &victim,
+                         const Characterization &aggressor)
+{
+    std::vector<double> x(rulers::kNumDimensions);
+    for (int d = 0; d < rulers::kNumDimensions; ++d)
+        x[d] = victim.sensitivity[d] * aggressor.contentiousness[d];
+    return x;
+}
+
 SmitePredictor
 SmitePredictor::train(const std::vector<PredictorSample> &samples,
                       double ridge)
 {
-    std::vector<SmiteModel::Sample> rows;
-    rows.reserve(samples.size());
-    for (const PredictorSample &s : samples) {
-        SmiteModel::Sample row;
-        row.victim = s.victim->characterization;
-        row.aggressor = s.aggressor->characterization;
-        row.degradation = s.degradation;
-        rows.push_back(std::move(row));
-    }
-    return SmitePredictor(SmiteModel::train(rows, ridge));
+    return SmitePredictor(fitRows(
+        samples, rulers::kNumDimensions, "sharing dimensions", ridge,
+        [](const PredictorSample &s) {
+            return features(s.victim->characterization,
+                            s.aggressor->characterization);
+        }));
 }
 
 double
@@ -163,24 +195,29 @@ SmitePredictor::rawDegradation(
     const WorkloadSignature &victim,
     const std::vector<const WorkloadSignature *> &aggressors) const
 {
-    return model_.predict(victim.characterization,
-                          combinedContentiousness(aggressors));
+    return model_.predict(features(victim.characterization,
+                                   combinedContentiousness(aggressors)));
+}
+
+std::vector<double>
+PmuPredictor::features(const PmuProfile &victim, const PmuProfile &aggressor)
+{
+    std::vector<double> x;
+    x.reserve(2 * sim::kNumPmuRates);
+    x.insert(x.end(), victim.begin(), victim.end());
+    x.insert(x.end(), aggressor.begin(), aggressor.end());
+    return x;
 }
 
 PmuPredictor
 PmuPredictor::train(const std::vector<PredictorSample> &samples,
                     double ridge)
 {
-    std::vector<PmuModel::Sample> rows;
-    rows.reserve(samples.size());
-    for (const PredictorSample &s : samples) {
-        PmuModel::Sample row;
-        row.victim = s.victim->pmu;
-        row.aggressor = s.aggressor->pmu;
-        row.degradation = s.degradation;
-        rows.push_back(std::move(row));
-    }
-    return PmuPredictor(PmuModel::train(rows, ridge));
+    return PmuPredictor(fitRows(
+        samples, 2 * sim::kNumPmuRates, "PMU features", ridge,
+        [](const PredictorSample &s) {
+            return features(s.victim->pmu, s.aggressor->pmu);
+        }));
 }
 
 double
@@ -188,7 +225,7 @@ PmuPredictor::rawDegradation(
     const WorkloadSignature &victim,
     const std::vector<const WorkloadSignature *> &aggressors) const
 {
-    return model_.predict(victim.pmu, combinedPmu(aggressors));
+    return model_.predict(features(victim.pmu, combinedPmu(aggressors)));
 }
 
 std::vector<double>
@@ -212,19 +249,11 @@ MisePredictor
 MisePredictor::train(const std::vector<PredictorSample> &samples,
                      double ridge)
 {
-    if (samples.size() <= kNumFeatures) {
-        throw std::invalid_argument(
-            "need more samples than MISE features");
-    }
-    std::vector<std::vector<double>> x;
-    std::vector<double> y;
-    x.reserve(samples.size());
-    y.reserve(samples.size());
-    for (const PredictorSample &s : samples) {
-        x.push_back(features(*s.victim, {s.aggressor}));
-        y.push_back(s.degradation);
-    }
-    return MisePredictor(stats::LinearModel::fit(x, y, ridge));
+    return MisePredictor(fitRows(
+        samples, kNumFeatures, "MISE features", ridge,
+        [](const PredictorSample &s) {
+            return features(*s.victim, {s.aggressor});
+        }));
 }
 
 double
@@ -253,19 +282,11 @@ AlvesDrummondPredictor
 AlvesDrummondPredictor::train(const std::vector<PredictorSample> &samples,
                               double ridge)
 {
-    if (samples.size() <= rulers::kNumDimensions) {
-        throw std::invalid_argument(
-            "need more samples than sharing dimensions");
-    }
-    std::vector<std::vector<double>> x;
-    std::vector<double> y;
-    x.reserve(samples.size());
-    y.reserve(samples.size());
-    for (const PredictorSample &s : samples) {
-        x.push_back(features(*s.victim, {s.aggressor}));
-        y.push_back(s.degradation);
-    }
-    return AlvesDrummondPredictor(stats::LinearModel::fit(x, y, ridge));
+    return AlvesDrummondPredictor(fitRows(
+        samples, rulers::kNumDimensions, "sharing dimensions", ridge,
+        [](const PredictorSample &s) {
+            return features(*s.victim, {s.aggressor});
+        }));
 }
 
 double
@@ -278,15 +299,16 @@ AlvesDrummondPredictor::rawDegradation(
 
 WorkloadSignature
 signatureOf(Lab &lab, const workload::WorkloadProfile &profile,
-            CoLocationMode mode)
+            CoLocationMode mode, int threads)
 {
     WorkloadSignature sig;
     sig.name = profile.name;
     try {
-        sig.characterization = lab.characterization(profile, mode);
+        sig.characterization =
+            lab.characterization(profile, mode, threads);
         sig.pmu = lab.pmuProfile(profile);
         sig.soloCounters = lab.soloCounters(profile);
-        sig.soloIpc = lab.soloIpc(profile);
+        sig.soloIpc = lab.soloIpc(profile, threads);
         sig.valid = sig.characterization.valid;
     } catch (const fault::MeasurementError &) {
         // Retry budget spent (already logged by the Lab); the
@@ -299,20 +321,53 @@ signatureOf(Lab &lab, const workload::WorkloadProfile &profile,
 std::vector<WorkloadSignature>
 signaturesOf(Lab &lab,
              const std::vector<workload::WorkloadProfile> &profiles,
-             CoLocationMode mode)
+             CoLocationMode mode, int threads)
 {
     // Warm the expensive measurements through the parallel batch APIs;
     // the serial signatureOf() assembly below then hits the Lab's
     // caches in input order, byte-identical to the all-serial path.
-    lab.characterizeAll(profiles, mode);
+    lab.characterizeAll(profiles, mode, threads);
     lab.pmuProfileAll(profiles);
-    lab.soloIpcAll(profiles);
+    lab.soloIpcAll(profiles, threads);
 
     std::vector<WorkloadSignature> sigs;
     sigs.reserve(profiles.size());
     for (const workload::WorkloadProfile &p : profiles)
-        sigs.push_back(signatureOf(lab, p, mode));
+        sigs.push_back(signatureOf(lab, p, mode, threads));
     return sigs;
+}
+
+TrainingCorpus
+trainingCorpus(Lab &lab,
+               const std::vector<workload::WorkloadProfile> &training_set,
+               CoLocationMode mode)
+{
+    obs::Span span("lab.training_corpus", modeName(mode));
+    TrainingCorpus corpus;
+    corpus.signatures = signaturesOf(lab, training_set, mode);
+    const std::vector<std::vector<double>> pairs =
+        lab.measureAllPairs(training_set, mode);
+
+    static obs::Counter &dropped =
+        obs::Registry::global().counter("lab.dropped_samples");
+    for (std::size_t i = 0; i < training_set.size(); ++i) {
+        for (std::size_t j = 0; j < training_set.size(); ++j) {
+            if (i == j)
+                continue;
+            const WorkloadSignature &victim = corpus.signatures[i];
+            const WorkloadSignature &aggressor = corpus.signatures[j];
+            if (!victim.valid || !aggressor.valid ||
+                std::isnan(pairs[i][j])) {
+                dropped.add();
+                obs::IncidentLog::global().record(
+                    "trainingCorpus: dropped sample " + victim.name +
+                    "|" + aggressor.name + " (" + modeName(mode) + ")");
+                continue;
+            }
+            corpus.samples.push_back({&victim, &aggressor, pairs[i][j]});
+        }
+    }
+    return corpus;
 }
 
 PredictorZoo
@@ -320,43 +375,17 @@ trainPredictorZoo(Lab &lab,
                   const std::vector<workload::WorkloadProfile> &training_set,
                   CoLocationMode mode)
 {
+    TrainingCorpus corpus = trainingCorpus(lab, training_set, mode);
     PredictorZoo zoo;
-    zoo.signatures = signaturesOf(lab, training_set, mode);
-    const std::vector<std::vector<double>> pairs =
-        lab.measureAllPairs(training_set, mode);
-
-    static obs::Counter &dropped =
-        obs::Registry::global().counter("lab.dropped_samples");
-    std::vector<PredictorSample> samples;
-    for (std::size_t i = 0; i < training_set.size(); ++i) {
-        for (std::size_t j = 0; j < training_set.size(); ++j) {
-            if (i == j)
-                continue;
-            // Mirror the trainSmite protocol: a sample resting on a
-            // failed measurement is dropped from every fit, not
-            // allowed to poison one.
-            if (!zoo.signatures[i].valid || !zoo.signatures[j].valid ||
-                std::isnan(pairs[i][j])) {
-                dropped.add();
-                obs::IncidentLog::global().record(
-                    "trainPredictorZoo: dropped sample " +
-                    training_set[i].name + "|" + training_set[j].name +
-                    " (" + modeName(mode) + ")");
-                continue;
-            }
-            samples.push_back({&zoo.signatures[i], &zoo.signatures[j],
-                               pairs[i][j]});
-        }
-    }
-
-    zoo.predictors.push_back(
-        std::make_unique<SmitePredictor>(SmitePredictor::train(samples)));
-    zoo.predictors.push_back(
-        std::make_unique<PmuPredictor>(PmuPredictor::train(samples)));
-    zoo.predictors.push_back(
-        std::make_unique<MisePredictor>(MisePredictor::train(samples)));
+    zoo.predictors.push_back(std::make_unique<SmitePredictor>(
+        SmitePredictor::train(corpus.samples)));
+    zoo.predictors.push_back(std::make_unique<PmuPredictor>(
+        PmuPredictor::train(corpus.samples)));
+    zoo.predictors.push_back(std::make_unique<MisePredictor>(
+        MisePredictor::train(corpus.samples)));
     zoo.predictors.push_back(std::make_unique<AlvesDrummondPredictor>(
-        AlvesDrummondPredictor::train(samples)));
+        AlvesDrummondPredictor::train(corpus.samples)));
+    zoo.signatures = std::move(corpus.signatures);
 
     static obs::Counter &trained =
         obs::Registry::global().counter("predictor.trained");

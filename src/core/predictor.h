@@ -9,8 +9,8 @@
  * the degradation of a victim next to an arbitrary co-runner set —
  * and populates the space with four implementations:
  *
- *  - SmitePredictor: the paper's Ruler model (SmiteModel);
- *  - PmuPredictor:   the paper's PMU baseline (PmuModel);
+ *  - SmitePredictor: the paper's Ruler regression (Equation 3);
+ *  - PmuPredictor:   the paper's PMU-counter baseline (Equation 9);
  *  - MisePredictor:  a MISE-style estimator (Subramanian et al.,
  *    "Predictable Performance and Fairness Through Accurate Slowdown
  *    Estimation in Shared Main Memory Systems"): slowdown is driven
@@ -23,10 +23,10 @@
  *    per-dimension sensitivity scaled by a *saturating* function of
  *    aggregate co-runner pressure, fit by least squares.
  *
- * All four train on the same measured-pair corpus (trainPredictorZoo)
+ * All four train on the same measured-pair corpus (trainingCorpus)
  * so head-to-head comparisons (bench_predictor_zoo) are apples to
- * apples. Every prediction funnels through the range guard of
- * core/prediction_guard.h and the `predictor.*` counters
+ * apples. Every prediction funnels through the one range guard,
+ * Predictor::predictDegradation, and the `predictor.*` counters
  * (docs/OBSERVABILITY.md).
  */
 
@@ -39,9 +39,8 @@
 #include <vector>
 
 #include "core/characterize.h"
-#include "core/pmu_model.h"
-#include "core/smite_model.h"
 #include "sim/counters.h"
+#include "stats/regression.h"
 #include "workload/profile.h"
 
 namespace smite::core {
@@ -66,10 +65,16 @@ struct WorkloadSignature {
     bool valid = true;
 };
 
-/** Gather one workload's signature through a Lab (cached measurements). */
+/**
+ * Gather one workload's signature through a Lab (cached
+ * measurements). @p threads instances (one per core) enter the
+ * characterization and the solo IPC, as in Lab::characterization and
+ * Lab::soloIpc; the PMU rates and solo counters always come from a
+ * single-threaded solo run.
+ */
 WorkloadSignature signatureOf(Lab &lab,
                               const workload::WorkloadProfile &profile,
-                              CoLocationMode mode);
+                              CoLocationMode mode, int threads = 1);
 
 /**
  * Batch variant: fans the underlying measurements out through the
@@ -79,7 +84,7 @@ WorkloadSignature signatureOf(Lab &lab,
 std::vector<WorkloadSignature>
 signaturesOf(Lab &lab,
              const std::vector<workload::WorkloadProfile> &profiles,
-             CoLocationMode mode);
+             CoLocationMode mode, int threads = 1);
 
 /** One training observation shared by every predictor in the zoo. */
 struct PredictorSample {
@@ -89,12 +94,43 @@ struct PredictorSample {
 };
 
 /**
+ * The training corpus every predictor fits on: the training set's
+ * signatures and one sample per ordered pair. The samples point into
+ * `signatures`, so a corpus moves but never copies.
+ */
+struct TrainingCorpus {
+    /** Signatures of the training set, in input order. */
+    std::vector<WorkloadSignature> signatures;
+    /** Ordered-pair samples, victim-major in input order. */
+    std::vector<PredictorSample> samples;
+
+    TrainingCorpus() = default;
+    TrainingCorpus(TrainingCorpus &&) = default;
+    TrainingCorpus &operator=(TrainingCorpus &&) = default;
+    TrainingCorpus(const TrainingCorpus &) = delete;
+    TrainingCorpus &operator=(const TrainingCorpus &) = delete;
+};
+
+/**
+ * Measure a training corpus: gather the training set's signatures and
+ * all ordered co-location pairs (both phases through the Lab's
+ * parallel batch APIs), then assemble the samples in the serial
+ * protocol's order. A sample whose victim or aggressor signature is
+ * invalid, or whose pair measurement failed, is dropped (counted in
+ * `lab.dropped_samples` and logged), never allowed to poison a fit.
+ */
+TrainingCorpus
+trainingCorpus(Lab &lab,
+               const std::vector<workload::WorkloadProfile> &training_set,
+               CoLocationMode mode);
+
+/**
  * A trained QoS/slowdown predictor.
  *
  * The public predict entry points are non-virtual: they validate the
  * signatures, delegate to rawDegradation(), guard the result into
- * [0, 1] (core/prediction_guard.h) and maintain the `predictor.*`
- * counters. Implementations only provide the raw model arithmetic.
+ * [0, 1] and maintain the `predictor.*` counters. Implementations
+ * only provide the raw, unclamped model arithmetic.
  */
 class Predictor
 {
@@ -115,8 +151,10 @@ class Predictor
 
     /**
      * Predicted degradation (1 - QoS) of @p victim co-located with
-     * the @p aggressors set, guarded into [0, 1]. An empty set
-     * predicts 0 (solo). Invalid or non-finite signatures yield the
+     * the @p aggressors set, guarded into [0, 1]: degradations are
+     * fractions of solo performance, so regression overshoot is
+     * clamped (and counted). An empty set predicts 0 (solo). Invalid
+     * signatures or a non-finite raw prediction yield the
      * conservative worst case 1.0 with an incident-log record.
      */
     double predictDegradation(
@@ -144,13 +182,26 @@ class Predictor
         const = 0;
 };
 
-/** The paper's Ruler regression (Equation 3) behind the zoo interface. */
+/**
+ * The paper's Ruler regression (Equation 3, Section III-C1): the
+ * degradation of victim A next to co-runner B is a linear combination
+ * of the per-dimension products of A's sensitivity and B's
+ * contentiousness,
+ *
+ *   Deg(A|B) = sum_i c_i * Sen_i^A * Con_i^B + c_0,
+ *
+ * fit by least squares. A co-runner set contributes the element-wise
+ * sum of its contentiousness vectors.
+ */
 class SmitePredictor final : public Predictor
 {
   public:
-    explicit SmitePredictor(SmiteModel model) : model_(std::move(model)) {}
-
-    /** Fit Equation 3 on the shared corpus. */
+    /**
+     * Fit Equation 3 on the shared corpus.
+     * @param samples training observations (needs more samples than
+     *        sharing dimensions)
+     * @param ridge small L2 regularizer for numerical robustness
+     */
     static SmitePredictor train(const std::vector<PredictorSample> &samples,
                                 double ridge = 1e-8);
 
@@ -160,8 +211,21 @@ class SmitePredictor final : public Predictor
         return 1 + rulers::kNumDimensions;
     }
 
-    /** The wrapped regression model. */
-    const SmiteModel &model() const { return model_; }
+    /** The per-dimension coefficients c_i (in dimension order). */
+    const std::vector<double> &coefficients() const
+    {
+        return model_.weights();
+    }
+
+    /** The constant term c_0 (residual interference). */
+    double constantTerm() const { return model_.intercept(); }
+
+    /**
+     * Feature row of a (victim, aggressor) pair:
+     * x_i = Sen_i^A * Con_i^B.
+     */
+    static std::vector<double> features(const Characterization &victim,
+                                        const Characterization &aggressor);
 
   protected:
     double rawDegradation(const WorkloadSignature &victim,
@@ -169,29 +233,55 @@ class SmitePredictor final : public Predictor
                               &aggressors) const override;
 
   private:
-    SmiteModel model_;
+    explicit SmitePredictor(stats::LinearModel model)
+        : model_(std::move(model))
+    {}
+
+    stats::LinearModel model_;
 };
 
-/** The paper's PMU-counter baseline (Equation 9) behind the interface. */
+/**
+ * The paper's PMU-counter baseline (Equation 9, Section IV-B1): the
+ * strongest baseline the paper could build without Rulers, a linear
+ * regression over the eleven solo-run counter rates of both
+ * applications,
+ *
+ *   Deg(A|B) = sum_i (c_i^A PMU_i^A + c_i^B PMU_i^B) + c_0.
+ *
+ * A co-runner set contributes the element-wise sum of its rates.
+ */
 class PmuPredictor final : public Predictor
 {
   public:
-    explicit PmuPredictor(PmuModel model) : model_(std::move(model)) {}
-
-    /** Fit Equation 9 on the shared corpus. */
+    /**
+     * Fit Equation 9 on the shared corpus.
+     * @param samples training observations (needs more samples than
+     *        2 * kNumPmuRates)
+     * @param ridge small L2 regularizer; PMU rates are collinear
+     *        (e.g. L2 hits vs L1 misses), so a nonzero default keeps
+     *        the normal equations well-posed
+     */
     static PmuPredictor train(const std::vector<PredictorSample> &samples,
                               double ridge = 1e-6);
 
     std::string_view name() const override { return "pmu"; }
     int signatureRuns() const override { return 1; }
 
+    /** Concatenated feature row (A's rates then B's). */
+    static std::vector<double> features(const PmuProfile &victim,
+                                        const PmuProfile &aggressor);
+
   protected:
     double rawDegradation(const WorkloadSignature &victim,
                           const std::vector<const WorkloadSignature *>
                               &aggressors) const override;
 
   private:
-    PmuModel model_;
+    explicit PmuPredictor(stats::LinearModel model)
+        : model_(std::move(model))
+    {}
+
+    stats::LinearModel model_;
 };
 
 /**
@@ -293,12 +383,8 @@ struct PredictorZoo {
 };
 
 /**
- * Train every predictor in the zoo on the same corpus: gather the
- * training set's signatures, measure all ordered co-location pairs
- * (both phases through the Lab's parallel batch APIs), and fit each
- * model on the identical sample list. Samples involving a signature
- * whose measurements failed are dropped (and already logged by the
- * Lab); the fit order matches the serial protocol.
+ * Train every predictor in the zoo on one trainingCorpus(): each
+ * model fits the identical sample list.
  *
  * @throws std::invalid_argument if too few samples survive for any
  *         model (the PMU baseline needs the most: > 22)

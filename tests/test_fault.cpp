@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "core/predictor.h"
 #include "fault/fault.h"
 #include "obs/incident.h"
 #include "obs/metrics.h"
@@ -32,7 +33,7 @@ namespace {
 using core::Characterization;
 using core::CoLocationMode;
 using core::Lab;
-using core::SmiteModel;
+using core::SmitePredictor;
 using fault::FaultPlan;
 using fault::MeasurementError;
 using fault::SiteSpec;
@@ -258,6 +259,15 @@ TEST_F(FaultTest, TrainSmiteSurvivesChaosAndReproducesCleanBaseline)
     const auto mode = CoLocationMode::kSmt;
     const auto &victim = workload::spec2006::byName("401.bzip2");
     const auto &aggressor = workload::spec2006::byName("429.mcf");
+    auto fit = [&](Lab &lab) {
+        return SmitePredictor::train(
+            core::trainingCorpus(lab, train, mode).samples);
+    };
+    auto predict = [&](Lab &lab, const SmitePredictor &model) {
+        return model.predictDegradation(
+            core::signatureOf(lab, victim, mode),
+            core::signatureOf(lab, aggressor, mode));
+    };
 
     // Fault-free baseline.
     std::vector<double> base_coeffs;
@@ -265,17 +275,16 @@ TEST_F(FaultTest, TrainSmiteSurvivesChaosAndReproducesCleanBaseline)
     {
         const auto lab_holder = makeLab();
         Lab &lab = *lab_holder;
-        const SmiteModel model = lab.trainSmite(train, mode);
+        const SmitePredictor model = fit(lab);
         base_coeffs = model.coefficients();
-        base_pred = model.predict(lab.characterization(victim, mode),
-                                  lab.characterization(aggressor, mode));
+        base_pred = predict(lab, model);
     }
     resetGlobals();
 
     // Chaos: with retries disabled every measurement fails with
-    // probability p. One lost characterization already voids ten of
-    // the thirty ordered samples, so p is kept low enough that the
-    // fit still has more samples than sharing dimensions — but high
+    // probability p. One lost signature already voids ten of the
+    // thirty ordered samples, so p is kept low enough that the fit
+    // still has more samples than sharing dimensions — but high
     // enough (given this seed) that some samples do drop.
     FaultPlan::global().arm("lab.measure",
                             SiteSpec{.probability = 0.07, .seed = 13});
@@ -283,7 +292,7 @@ TEST_F(FaultTest, TrainSmiteSurvivesChaosAndReproducesCleanBaseline)
         const auto lab_holder = makeLab();
         Lab &lab = *lab_holder;
         lab.setMaxAttempts(1);  // no retries: faults become drops
-        const SmiteModel model = lab.trainSmite(train, mode);
+        const SmitePredictor model = fit(lab);
         // Training degraded but completed: finite coefficients.
         for (const double c : model.coefficients())
             EXPECT_TRUE(std::isfinite(c));
@@ -296,11 +305,9 @@ TEST_F(FaultTest, TrainSmiteSurvivesChaosAndReproducesCleanBaseline)
     {
         const auto lab_holder = makeLab();
         Lab &lab = *lab_holder;
-        const SmiteModel model = lab.trainSmite(train, mode);
+        const SmitePredictor model = fit(lab);
         EXPECT_EQ(model.coefficients(), base_coeffs);
-        EXPECT_EQ(model.predict(lab.characterization(victim, mode),
-                                lab.characterization(aggressor, mode)),
-                  base_pred);
+        EXPECT_EQ(predict(lab, model), base_pred);
         EXPECT_EQ(counter("lab.dropped_samples"), 0u);
         EXPECT_EQ(obs::IncidentLog::global().count(), 0u);
     }

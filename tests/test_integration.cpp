@@ -37,7 +37,8 @@ TEST(Integration, EndToEndPredictionBeatsBaselines)
 {
     const auto mode = CoLocationMode::kSmt;
     const auto train = trainingSubset();
-    const SmiteModel model = lab().trainSmite(train, mode);
+    const SmitePredictor model =
+        SmitePredictor::train(trainingCorpus(lab(), train, mode).samples);
 
     // Held-out applications spanning compute-, branch- and
     // memory-bound behaviour.
@@ -54,9 +55,9 @@ TEST(Integration, EndToEndPredictionBeatsBaselines)
                 continue;
             const double actual =
                 lab().pairDegradation(*victim, *aggressor, mode);
-            const double predicted = model.predict(
-                lab().characterization(*victim, mode),
-                lab().characterization(*aggressor, mode));
+            const double predicted = model.predictDegradation(
+                signatureOf(lab(), *victim, mode),
+                signatureOf(lab(), *aggressor, mode));
             smite_err += std::abs(predicted - actual);
             zero_err += std::abs(actual);
             ++n;
@@ -68,23 +69,25 @@ TEST(Integration, EndToEndPredictionBeatsBaselines)
     EXPECT_LT(smite_err / n, 0.12);
 }
 
-TEST(Integration, PmuModelTrainsAndPredictsInRange)
+TEST(Integration, PmuPredictorTrainsAndPredictsInRange)
 {
     const auto mode = CoLocationMode::kSmt;
     // The PMU model needs > 22 samples: 9 apps give 72 ordered pairs.
-    const PmuModel model = lab().trainPmu(trainingSubset(), mode);
+    const PmuPredictor model = PmuPredictor::train(
+        trainingCorpus(lab(), trainingSubset(), mode).samples);
     const auto &a = workload::spec2006::byName("453.povray");
     const auto &b = workload::spec2006::byName("433.milc");
-    const double pred =
-        model.predict(lab().pmuProfile(a), lab().pmuProfile(b));
+    const double pred = model.predictDegradation(
+        signatureOf(lab(), a, mode), signatureOf(lab(), b, mode));
     EXPECT_GT(pred, -0.5);
     EXPECT_LT(pred, 1.0);
 }
 
 TEST(Integration, SmiteCoefficientsAreFinite)
 {
-    const SmiteModel model =
-        lab().trainSmite(trainingSubset(), CoLocationMode::kSmt);
+    const SmitePredictor model = SmitePredictor::train(
+        trainingCorpus(lab(), trainingSubset(), CoLocationMode::kSmt)
+            .samples);
     for (double c : model.coefficients())
         EXPECT_TRUE(std::isfinite(c));
     EXPECT_TRUE(std::isfinite(model.constantTerm()));

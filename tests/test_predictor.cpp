@@ -21,6 +21,7 @@
 #include "core/predictor.h"
 #include "obs/incident.h"
 #include "obs/metrics.h"
+#include "workload/cloudsuite.h"
 #include "workload/rng.h"
 #include "workload/spec2006.h"
 
@@ -53,15 +54,10 @@ syntheticSignature(workload::Rng &rng, const std::string &name)
 }
 
 /** Signatures + samples obeying a synthetic degradation law. */
-struct SyntheticCorpus {
-    std::vector<WorkloadSignature> signatures;
-    std::vector<PredictorSample> samples;
-};
-
-SyntheticCorpus
+TrainingCorpus
 makeCorpus(int n_workloads)
 {
-    SyntheticCorpus corpus;
+    TrainingCorpus corpus;
     workload::Rng rng(0xA110'17ull);
     for (int i = 0; i < n_workloads; ++i) {
         corpus.signatures.push_back(
@@ -87,7 +83,7 @@ makeCorpus(int n_workloads)
 
 /** All four implementations trained on one synthetic corpus. */
 std::vector<std::unique_ptr<Predictor>>
-trainedZoo(const SyntheticCorpus &corpus)
+trainedZoo(const TrainingCorpus &corpus)
 {
     std::vector<std::unique_ptr<Predictor>> zoo;
     zoo.push_back(std::make_unique<SmitePredictor>(
@@ -103,7 +99,7 @@ trainedZoo(const SyntheticCorpus &corpus)
 
 TEST(PredictorZoo, NamesAreUniqueAndCostsSensible)
 {
-    const SyntheticCorpus corpus = makeCorpus(8);
+    const TrainingCorpus corpus = makeCorpus(8);
     const auto zoo = trainedZoo(corpus);
     std::set<std::string> names;
     for (const auto &p : zoo) {
@@ -121,7 +117,7 @@ TEST(PredictorZoo, NamesAreUniqueAndCostsSensible)
 
 TEST(PredictorZoo, PredictionsAreBoundedAndDeterministic)
 {
-    const SyntheticCorpus corpus = makeCorpus(8);
+    const TrainingCorpus corpus = makeCorpus(8);
     const auto zoo = trainedZoo(corpus);
     for (const auto &p : zoo) {
         SCOPED_TRACE(std::string(p->name()));
@@ -152,7 +148,7 @@ TEST(PredictorZoo, PredictionsAreBoundedAndDeterministic)
 
 TEST(PredictorZoo, AdversarialSignaturesFallBackToWorstCase)
 {
-    const SyntheticCorpus corpus = makeCorpus(8);
+    const TrainingCorpus corpus = makeCorpus(8);
     const auto zoo = trainedZoo(corpus);
     workload::Rng rng(0xD155ull);
 
@@ -196,15 +192,11 @@ TEST(PredictorZoo, OutOfRangeRawPredictionsAreClampedAndCounted)
 {
     // Train on a world with large degradations, then feed a saturated
     // signature: the raw affine prediction overshoots 1 and must come
-    // back clamped. The Alves-Drummond predictor exposes the
-    // interface-level clamp directly (SmiteModel/PmuModel already
-    // guard inside the wrapped model, so their predictors hand the
-    // interface an in-range value).
-    SyntheticCorpus corpus = makeCorpus(8);
+    // back clamped, with predictor.clamped counting it. The interface
+    // is the only clamp, so every implementation's overshoot shows.
+    TrainingCorpus corpus = makeCorpus(8);
     for (PredictorSample &s : corpus.samples)
         s.degradation *= 30.0;
-    const AlvesDrummondPredictor ad =
-        AlvesDrummondPredictor::train(corpus.samples);
 
     workload::Rng rng(0xC1A3ull);
     WorkloadSignature saturated = syntheticSignature(rng, "saturated");
@@ -212,19 +204,77 @@ TEST(PredictorZoo, OutOfRangeRawPredictionsAreClampedAndCounted)
         saturated.characterization.sensitivity[d] = 1.0;
         saturated.characterization.contentiousness[d] = 1.0;
     }
+    // Far outside the corpus' PMU rates, so the Equation 9 regression
+    // lands outside [0, 1] on one side or the other.
+    saturated.pmu.fill(1e6);
 
-    const std::uint64_t predictions0 =
-        counter("predictor.predictions");
-    const std::uint64_t clamped0 = counter("predictor.clamped");
-    const double deg = ad.predictDegradation(saturated, saturated);
-    EXPECT_EQ(deg, 1.0);
-    EXPECT_EQ(counter("predictor.predictions"), predictions0 + 1);
-    EXPECT_EQ(counter("predictor.clamped"), clamped0 + 1);
+    auto expectClamped = [&](const Predictor &p) {
+        SCOPED_TRACE(std::string(p.name()));
+        const std::uint64_t predictions0 =
+            counter("predictor.predictions");
+        const std::uint64_t clamped0 = counter("predictor.clamped");
+        const double deg = p.predictDegradation(saturated, saturated);
+        EXPECT_TRUE(deg == 0.0 || deg == 1.0) << deg;
+        EXPECT_EQ(counter("predictor.predictions"), predictions0 + 1);
+        EXPECT_EQ(counter("predictor.clamped"), clamped0 + 1);
+        return deg;
+    };
+    EXPECT_EQ(expectClamped(AlvesDrummondPredictor::train(corpus.samples)),
+              1.0);
+    EXPECT_EQ(expectClamped(SmitePredictor::train(corpus.samples)), 1.0);
+    expectClamped(PmuPredictor::train(corpus.samples));
+}
 
-    // The SMiTe predictor on the same input also comes back at the
-    // worst case, clamped inside the wrapped model.
-    const SmitePredictor smite = SmitePredictor::train(corpus.samples);
-    EXPECT_EQ(smite.predictDegradation(saturated, saturated), 1.0);
+TEST(PredictorZoo, SignatureThreadsMatchTheLabsMeasurements)
+{
+    // The CloudSuite latency apps run 6 threads on Sandy Bridge-EN:
+    // the batch signatures must equal serial signatureOf() element by
+    // element, with the threaded characterization and solo IPC, while
+    // the PMU rates and solo counters stay single-threaded.
+    const auto config = sim::MachineConfig::sandyBridgeEN();
+    const auto mode = CoLocationMode::kSmt;
+    const auto apps = workload::cloudsuite::all();
+    Lab batch_lab(config, 800, 2'000);
+    const std::vector<WorkloadSignature> sigs =
+        signaturesOf(batch_lab, apps, mode, 6);
+
+    Lab lab(config, 800, 2'000);
+    lab.setParallelism(1);
+    ASSERT_EQ(sigs.size(), apps.size());
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+        SCOPED_TRACE(apps[i].name);
+        const WorkloadSignature serial = signatureOf(lab, apps[i], mode, 6);
+        EXPECT_EQ(sigs[i].name, serial.name);
+        EXPECT_TRUE(sigs[i].valid);
+        EXPECT_EQ(sigs[i].valid, serial.valid);
+        EXPECT_EQ(sigs[i].characterization.sensitivity,
+                  serial.characterization.sensitivity);
+        EXPECT_EQ(sigs[i].characterization.contentiousness,
+                  serial.characterization.contentiousness);
+        EXPECT_EQ(sigs[i].pmu, serial.pmu);
+        EXPECT_EQ(sigs[i].soloCounters.cycles, serial.soloCounters.cycles);
+        EXPECT_EQ(sigs[i].soloCounters.l2Misses,
+                  serial.soloCounters.l2Misses);
+        EXPECT_EQ(sigs[i].soloCounters.l3Misses,
+                  serial.soloCounters.l3Misses);
+        EXPECT_EQ(sigs[i].soloIpc, serial.soloIpc);
+
+        const Characterization &threaded =
+            lab.characterization(apps[i], mode, 6);
+        EXPECT_EQ(sigs[i].characterization.sensitivity,
+                  threaded.sensitivity);
+        EXPECT_EQ(sigs[i].characterization.contentiousness,
+                  threaded.contentiousness);
+        EXPECT_EQ(sigs[i].soloIpc, lab.soloIpc(apps[i], 6));
+        EXPECT_EQ(sigs[i].pmu, lab.pmuProfile(apps[i]));
+
+        // threads = 1 keeps the single-threaded measurements.
+        const WorkloadSignature single = signatureOf(lab, apps[i], mode);
+        EXPECT_EQ(single.characterization.sensitivity,
+                  lab.characterization(apps[i], mode).sensitivity);
+        EXPECT_EQ(single.soloIpc, lab.soloIpc(apps[i]));
+        EXPECT_EQ(single.pmu, sigs[i].pmu);
+    }
 }
 
 TEST(PredictorZoo, TrainsOnARealLabCorpus)
