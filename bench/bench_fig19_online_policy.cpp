@@ -5,31 +5,35 @@
  *
  * The paper's scale-out results (Figures 14-18) score a one-shot
  * placement. This harness runs the same cluster through decision
- * epochs with `server.fail` churn and compares three policies on the
- * final epoch's placement:
+ * epochs with `server.fail` churn and compares, on the final epoch's
+ * placement, the three policies of the one epoch loop
+ * (Cluster::runEpochs, src/scheduler/cluster.h) against the oracle:
  *
- *   SMiTe-static   runPredictedPolicyWithFailures — the predicted
- *                  placement, re-placing evictions model-aware but
- *                  never reacting to delivered QoS
- *   SMiTe-online   OnlineScheduler — observes actual QoS each epoch,
- *                  evicts observed violators, probes observed
- *                  headroom (src/scheduler/online.h)
- *   Oracle         runOraclePolicy — perfect knowledge, no churn
- *                  (upper bound)
+ *   SMiTe-static       EpochPolicy::kStatic — the predicted
+ *                      placement, re-placing evictions model-aware
+ *                      but never reacting to delivered QoS
+ *   SMiTe-online       EpochPolicy::kUtilization — observes actual
+ *                      QoS each epoch, evicts observed violators,
+ *                      probes observed headroom
+ *   SMiTe-online-fair  EpochPolicy::kFairness — kUtilization plus
+ *                      the slowdown-spread trim
+ *   Oracle             runOraclePolicy — perfect knowledge, no churn
+ *                      (upper bound)
  *
- * Both churn policies replay the identical keyed failure trace, so
+ * Every churn policy replays the identical keyed failure trace, so
  * the comparison isolates the policy. With no SMITE_FAULTS in the
  * environment the harness arms a default churn plan
  * (server.fail: p=0.02, seed=101); either way every decision is a
  * pure function of the armed seed, so stdout is byte-identical
  * across runs and across SMITE_THREADS settings (the tier-1 smoke
- * pins this). Arm `scheduler.observe` to add measurement noise to
- * the online policy's QoS telemetry.
+ * pins this, and diffs the results against BENCH_online.json). Arm
+ * `scheduler.observe` to add measurement noise to the observing
+ * policies' QoS telemetry.
  */
 
 #include "bench/scaleout.h"
 #include "fault/fault.h"
-#include "scheduler/online.h"
+#include "scheduler/cluster.h"
 
 using namespace smite;
 
@@ -89,16 +93,15 @@ main()
                     faults.spec("server.fail").seed),
                 kEpochs, cluster.servers());
 
-    const scheduler::OnlineScheduler online_policy(
-        cluster, scheduler::OnlineConfig{.epochs = kEpochs});
+    const scheduler::OnlineConfig static_config{
+        .epochs = kEpochs, .policy = scheduler::EpochPolicy::kStatic};
+    const scheduler::OnlineConfig online_config{.epochs = kEpochs};
     // Tolerance of two QoS points: tight enough that the trim pass
     // engages on the spreads this cluster actually exhibits.
-    const scheduler::OnlineScheduler fairness_policy(
-        cluster,
-        scheduler::OnlineConfig{
-            .epochs = kEpochs,
-            .objective = scheduler::Objective::kFairness,
-            .spreadTolerance = 0.02});
+    const scheduler::OnlineConfig fairness_config{
+        .epochs = kEpochs,
+        .policy = scheduler::EpochPolicy::kFairness,
+        .spreadTolerance = 0.02};
 
     // `util+` is raw utilization gain over the no-SMT baseline;
     // `good+` is the goodput gain, where instances on QoS-violating
@@ -120,11 +123,12 @@ main()
     };
     std::vector<FairnessRow> fairness_rows;
     for (double target : {0.95, 0.90, 0.85}) {
-        const auto fixed = cluster.runPredictedPolicyWithFailures(
-            target, kEpochs, "SMiTe-static");
-        auto online = online_policy.run(target);
-        auto fair =
-            fairness_policy.run(target, "SMiTe-online-fair");
+        const auto fixed =
+            cluster.runEpochs(target, static_config, "SMiTe-static")
+                .final;
+        auto online = cluster.runEpochs(target, online_config);
+        auto fair = cluster.runEpochs(target, fairness_config,
+                                      "SMiTe-online-fair");
         const auto oracle = cluster.runOraclePolicy(target);
         const bool dominates =
             online.final.violationRate() <= fixed.violationRate() &&

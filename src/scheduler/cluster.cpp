@@ -5,11 +5,9 @@
 #include <stdexcept>
 #include <string>
 
-#include "fault/fault.h"
 #include "obs/incident.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "scheduler/keyed.h"
 #include "workload/rng.h"
 
 namespace smite::scheduler {
@@ -68,7 +66,7 @@ Cluster::finish(const std::string &name, double qos_target,
         const int k = instances[s];
         if (k <= 0)
             continue;
-        const Pairing &pairing = pairings_[assignment_[s].pairing];
+        const Pairing &pairing = pairingOf(s);
         const double actual = pairing.byInstances[k - 1].actualQos;
         ++result.coLocatedServers;
         result.totalInstances += k;
@@ -104,143 +102,41 @@ Cluster::finish(const std::string &name, double qos_target,
 }
 
 int
-Cluster::predictedInstancesFor(std::size_t s, double target) const
+Cluster::instancesMeeting(std::size_t s, double target,
+                          double CoLocationOption::*column) const
 {
-    const Pairing &pairing = pairings_[assignment_[s].pairing];
+    const Pairing &pairing = pairingOf(s);
     for (int k = maxInstances_; k >= 1; --k) {
-        if (pairing.byInstances[k - 1].predictedQos >= target)
+        if (pairing.byInstances[k - 1].*column >= target)
             return k;
     }
     return 0;
 }
 
-bool
-Cluster::modelAdmitsOneMore(std::size_t s, double target,
-                            int current) const
+PolicyResult
+Cluster::runLargestMeeting(const std::string &name, double qos_target,
+                           double CoLocationOption::*column) const
 {
-    if (current >= maxInstances_)
-        return false;
-    // byInstances[k-1] describes k instances, so index `current` is
-    // the predicted QoS after placing one more.
-    return pairingOf(s).byInstances[static_cast<std::size_t>(current)]
-               .predictedQos >= target;
+    obs::Span span("scheduler.policy", name);
+    std::vector<int> instances(assignment_.size(), 0);
+    for (size_t s = 0; s < assignment_.size(); ++s)
+        instances[s] = instancesMeeting(s, qos_target, column);
+    return finish(name, qos_target, instances);
 }
 
 PolicyResult
 Cluster::runPredictedPolicy(double qos_target,
                             const std::string &name) const
 {
-    obs::Span span("scheduler.policy", name);
-    std::vector<int> instances(assignment_.size(), 0);
-    for (size_t s = 0; s < assignment_.size(); ++s)
-        instances[s] = predictedInstancesFor(s, qos_target);
-    return finish(name, qos_target, instances);
-}
-
-PolicyResult
-Cluster::runPredictedPolicyWithFailures(double qos_target, int epochs,
-                                        const std::string &name) const
-{
-    obs::Span span("scheduler.policy", name + "+failures");
-    if (epochs < 1)
-        throw std::invalid_argument("epochs must be positive");
-
-    obs::Registry &registry = obs::Registry::global();
-    obs::Counter &failures =
-        registry.counter("scheduler.server_failures");
-    obs::Counter &evictions = registry.counter("scheduler.evictions");
-    obs::Counter &replacements =
-        registry.counter("scheduler.replacements");
-    obs::Counter &lost = registry.counter("scheduler.lost_instances");
-    obs::Counter &recoveries = registry.counter("scheduler.recoveries");
-
-    fault::FaultPlan &faults = fault::FaultPlan::global();
-
-    // Initial placement: the plain predicted policy.
-    std::vector<int> instances(assignment_.size(), 0);
-    for (size_t s = 0; s < assignment_.size(); ++s)
-        instances[s] = predictedInstancesFor(s, qos_target);
-
-    std::vector<bool> down(assignment_.size(), false);
-    for (int epoch = 0; epoch < epochs; ++epoch) {
-        // Recovered servers rejoin and the policy refills them.
-        for (size_t s = 0; s < assignment_.size(); ++s) {
-            if (!down[s])
-                continue;
-            down[s] = false;
-            instances[s] = predictedInstancesFor(s, qos_target);
-            recoveries.add();
-        }
-
-        // Failures this epoch: keyed per (epoch, server) through the
-        // shared key format (keyed.h), so the outcome is a pure
-        // function of the armed seed and the online policy replays
-        // the identical churn trace.
-        std::vector<int> evicted_batches;
-        for (size_t s = 0; s < assignment_.size(); ++s) {
-            if (!faults.enabled() ||
-                !faults.shouldInject("server.fail",
-                                     epochServerKey(epoch, s))) {
-                continue;
-            }
-            down[s] = true;
-            failures.add();
-            if (instances[s] > 0) {
-                evictions.add(static_cast<std::uint64_t>(instances[s]));
-                evicted_batches.push_back(instances[s]);
-            }
-            instances[s] = 0;
-        }
-
-        // Re-place evicted instances onto surviving servers that the
-        // model still predicts can absorb one more — the predicted
-        // QoS at k+1 must meet the target, not merely the capacity
-        // bound — scanning round robin from the front
-        // (deterministic). Anything that fits nowhere admissible is
-        // lost capacity rather than a predicted violation.
-        for (const int batch : evicted_batches) {
-            for (int inst = 0; inst < batch; ++inst) {
-                bool placed = false;
-                for (size_t s = 0; s < assignment_.size(); ++s) {
-                    if (down[s] ||
-                        !modelAdmitsOneMore(s, qos_target,
-                                            instances[s])) {
-                        continue;
-                    }
-                    ++instances[s];
-                    replacements.add();
-                    placed = true;
-                    break;
-                }
-                if (!placed)
-                    lost.add();
-            }
-        }
-    }
-
-    // Servers still down in the final epoch host nothing and run no
-    // latency threads; finish() excludes them from the busy-context
-    // accounting.
-    const int down_servers = static_cast<int>(
-        std::count(down.begin(), down.end(), true));
-    return finish(name, qos_target, instances, down_servers);
+    return runLargestMeeting(name, qos_target,
+                             &CoLocationOption::predictedQos);
 }
 
 PolicyResult
 Cluster::runOraclePolicy(double qos_target) const
 {
-    obs::Span span("scheduler.policy", "Oracle");
-    std::vector<int> instances(assignment_.size(), 0);
-    for (size_t s = 0; s < assignment_.size(); ++s) {
-        const Pairing &pairing = pairings_[assignment_[s].pairing];
-        for (int k = maxInstances_; k >= 1; --k) {
-            if (pairing.byInstances[k - 1].actualQos >= qos_target) {
-                instances[s] = k;
-                break;
-            }
-        }
-    }
-    return finish("Oracle", qos_target, instances);
+    return runLargestMeeting("Oracle", qos_target,
+                             &CoLocationOption::actualQos);
 }
 
 PolicyResult

@@ -13,6 +13,42 @@
  * (average-performance QoS: 1 - degradation; tail QoS: solo p90
  * divided by degraded p90), so the same policies serve both metrics.
  *
+ * The one-shot policies score a single placement, as the paper does.
+ * Cluster::runEpochs extends them through decision epochs under
+ * `server.fail` churn (src/fault); each epoch it
+ *   1. recovers the servers downed in the previous epoch and re-fills
+ *      them with the predicted placement, bounded by what the loop
+ *      has learned about the server's pairing,
+ *   2. downs servers whose keyed `server.fail` check fires for
+ *      (epoch, server) and evicts their batch instances,
+ *   3. re-places the evicted instances, round robin from the front,
+ *      onto survivors the model admits at k+1 (or that the last
+ *      observation cleared with `headroom` slack); the rest is lost
+ *      capacity,
+ *   4. observes the actual QoS of every co-location — optionally
+ *      perturbed by the `scheduler.observe` fault site, the analogue
+ *      of noisy production telemetry — and evicts one instance from
+ *      every server observed below target, capping the learned
+ *      admissible count for that server (under kFairness it also
+ *      trims servers whose observed slowdown exceeds the epoch's
+ *      minimum by more than `spreadTolerance`; cf. Subramanian et
+ *      al.'s MISE), and
+ *   5. probes one more instance on up to `probeBudget` servers
+ *      observed with `headroom` slack, never in the final epoch (cf.
+ *      Navarro et al.'s dynamic thread-to-core allocation).
+ * EpochPolicy::kStatic runs steps 1-3 only: the predicted placement
+ * under churn, never looking at delivered QoS. With a knee table
+ * (LoadAwareConfig) every policy also caps guaranteed admission at
+ * the design-load knee and manages best-effort fillers that are shed
+ * first under keyed `des.arrival_burst` load spikes.
+ *
+ * Learned caps only shrink, and only when an observation contradicts
+ * the current count, so with noise-free observations the placement
+ * converges. Every fault check is keyed per (epoch, server) through
+ * epochServerKey() (keyed.h) and the loop is serial, so a run is a
+ * pure function of the armed seeds for any SMITE_THREADS. Each epoch
+ * publishes `scheduler.online.*` metrics (docs/OBSERVABILITY.md).
+ *
  * This model is deliberately the paper's: homogeneous fleet, lockstep
  * full-cluster epochs, one batch candidate per server. The
  * warehouse-scale generalization — sharded state, streaming churn
@@ -23,6 +59,7 @@
 #ifndef SMITE_SCHEDULER_CLUSTER_H
 #define SMITE_SCHEDULER_CLUSTER_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -43,14 +80,6 @@ struct Pairing {
     std::string latencyApp;
     std::string batchApp;
     std::vector<CoLocationOption> byInstances;
-};
-
-/** What one policy decided for one server. */
-struct ServerDecision {
-    int latencyApp = 0;   ///< index into the latency app list
-    int pairing = 0;      ///< index into the server's pairing
-    int instances = 0;    ///< batch instances co-located (0 = none)
-    double actualQos = 1.0;
 };
 
 /** Aggregate outcome of a policy run over the cluster. */
@@ -141,6 +170,102 @@ struct PolicyResult {
 };
 
 /**
+ * Load-aware admission: the knee QPS measured by the loadgen harness
+ * (loadgen::findKnee) per (pairing, co-location depth). Guaranteed
+ * admission is capped at the deepest co-location whose knee clears
+ * the design load, and the idle contexts hold best-effort fillers
+ * that are shed — never guaranteed instances — when a keyed
+ * `des.arrival_burst` spike pushes the offered load past the knee.
+ * The table is plain data, so the scheduler stays independent of the
+ * loadgen library.
+ */
+struct LoadAwareConfig {
+    /** Design offered load per server (QPS); must be positive. */
+    double baseQps = 0.0;
+
+    /** Offered-load multiplier on a spiked server (>= 1). */
+    double spikeFactor = 2.0;
+
+    /**
+     * kneeByPairing[pairing][depth]: max QPS meeting the tail target
+     * with `depth` co-located batch instances (depth 0 = solo), one
+     * row per Cluster pairing, each of size maxInstances + 1. Load-
+     * aware admission is on exactly when this table is non-empty.
+     */
+    std::vector<std::vector<double>> kneeByPairing;
+};
+
+/** What Cluster::runEpochs does after the churn steps. */
+enum class EpochPolicy {
+    kStatic,       ///< churn only: recover, fail, re-place
+    kUtilization,  ///< observe/evict/probe to the QoS target (default)
+    kFairness,     ///< kUtilization plus the slowdown-spread trim
+};
+
+/** Tuning knobs of the epoch loop. */
+struct OnlineConfig {
+    /** Decision epochs to run (must be positive). */
+    int epochs = 20;
+    /**
+     * Max probe placements per epoch; 0 derives servers/4. Bounding
+     * the probe rate bounds how much QoS risk one epoch can add.
+     */
+    int probeBudget = 0;
+    /**
+     * Observed QoS slack above the target required before a server
+     * is probed with one more instance.
+     */
+    double headroom = 0.02;
+    /** Load-aware admission; inert while the knee table is empty. */
+    LoadAwareConfig loadAware{};
+    EpochPolicy policy = EpochPolicy::kUtilization;
+    /**
+     * kFairness only: max allowed excess of a server's observed
+     * slowdown over the epoch's minimum before one instance is
+     * trimmed (absolute slowdown, e.g. 0.05 = five QoS points).
+     */
+    double spreadTolerance = 0.05;
+};
+
+/** Telemetry of one decision epoch. */
+struct EpochStats {
+    int epoch = 0;             ///< epoch index, 0-based
+    int failures = 0;          ///< servers downed this epoch
+    int recoveries = 0;        ///< servers recovered at epoch start
+    int failureEvictions = 0;  ///< instances evicted by failures
+    int replacements = 0;      ///< evicted instances re-placed
+    int lostInstances = 0;     ///< evicted instances lost
+    int observedViolations = 0;///< observations below target
+    int qosEvictions = 0;      ///< instances evicted on observed QoS
+    int probes = 0;            ///< probe instances placed
+    int liveServers = 0;       ///< servers up at epoch end
+    double totalInstances = 0; ///< guaranteed batch instances at end
+    double utilization = 0;    ///< live-cluster utilization at end
+    // Load-aware admission (all zero without a knee table):
+    int loadSpikes = 0;        ///< servers spiked by des.arrival_burst
+    int fillersShed = 0;       ///< filler instances shed this epoch
+    int loadViolations = 0;    ///< guaranteed tiers past their knee
+    double fillerInstances = 0;///< best-effort fillers at epoch end
+    // Observed-slowdown telemetry (recorded by every observing
+    // policy; kFairness is the one that acts on it):
+    int fairnessEvictions = 0; ///< instances trimmed for fairness
+    double maxSlowdown = 0;    ///< max observed slowdown this epoch
+    double slowdownSpread = 0; ///< max - min observed slowdown
+};
+
+/** Final placement plus the per-epoch trajectory that produced it. */
+struct OnlineResult {
+    /** Final-epoch accounting, comparable to the one-shot policies. */
+    PolicyResult final;
+    /** One row per decision epoch, in order. */
+    std::vector<EpochStats> timeline;
+    /** Max actual slowdown over the final placement's co-locations. */
+    double finalMaxSlowdown = 0.0;
+    /** Max - min actual slowdown over the final co-locations. */
+    double finalSlowdownSpread = 0.0;
+};
+
+/**
  * The cluster: a set of servers, each pre-assigned one latency
  * application and one candidate batch application (mirroring the
  * paper's setup of 4,000 servers, 1,000 per latency application).
@@ -178,24 +303,20 @@ class Cluster
     PolicyResult runOraclePolicy(double qos_target) const;
 
     /**
-     * The predicted policy under server failures: run @p epochs
-     * decision epochs; in each, servers marked down by the
-     * `server.fail` fault site (src/fault) evict their batch
-     * instances, which the scheduler re-places *policy-aware* onto
-     * surviving servers the model still predicts can absorb one more
-     * instance (predictedQos at k+1 must meet the target); evictions
-     * that fit nowhere admissible are counted as lost capacity.
-     * Downed servers recover at the start of the next epoch and are
-     * re-filled by the policy. Placement drift is tracked via the
-     * `scheduler.server_failures` / `.evictions` / `.replacements` /
-     * `.lost_instances` / `.recoveries` counters, and the result
-     * reflects the final epoch's placement, with servers still down
-     * in that epoch excluded from the busy-context accounting. With
-     * no faults armed this is runPredictedPolicy(), byte-identical.
+     * The epoch loop described in the file header: start from the
+     * predicted placement and run @p config.epochs decision epochs
+     * under `server.fail` churn with @p config.policy. The returned
+     * PolicyResult scores the final epoch's placement against
+     * *actual* QoS, exactly like the one-shot policies, with servers
+     * still down in that epoch excluded from the busy contexts. With
+     * no faults armed, kStatic is runPredictedPolicy().
+     *
+     * @throws std::invalid_argument on non-positive epochs, negative
+     *         headroom or spreadTolerance, or an inconsistent knee
+     *         table
      */
-    PolicyResult
-    runPredictedPolicyWithFailures(double qos_target, int epochs,
-                                   const std::string &name = "SMiTe") const;
+    OnlineResult runEpochs(double qos_target, const OnlineConfig &config,
+                           const std::string &name = "SMiTe-online") const;
 
     /**
      * Random interference-oblivious policy: co-locates random
@@ -225,8 +346,6 @@ class Cluster
     }
 
   private:
-    friend class OnlineScheduler;
-
     struct ServerSlot {
         int pairing;  ///< index into pairings_
     };
@@ -235,16 +354,17 @@ class Cluster
                         const std::vector<int> &instances,
                         int down_servers = 0) const;
 
-    /** Largest k meeting @p target by prediction on server @p s. */
-    int predictedInstancesFor(std::size_t s, double target) const;
-
     /**
-     * True when the model predicts server @p s can absorb one more
-     * batch instance on top of @p current: capacity remains and the
-     * predicted QoS at current+1 still meets @p target.
+     * Largest k whose @p column of server @p s's pairing meets
+     * @p target (0 when none does).
      */
-    bool modelAdmitsOneMore(std::size_t s, double target,
-                            int current) const;
+    int instancesMeeting(std::size_t s, double target,
+                         double CoLocationOption::*column) const;
+
+    /** One-shot policy placing instancesMeeting() on every server. */
+    PolicyResult runLargestMeeting(const std::string &name,
+                                   double qos_target,
+                                   double CoLocationOption::*column) const;
 
     /** The pairing table assigned to server @p s. */
     const Pairing &pairingOf(std::size_t s) const

@@ -1,4 +1,7 @@
-#include "scheduler/online.h"
+// Cluster::runEpochs: the paper-scale decision-epoch loop (steps in
+// the cluster.h file header).
+
+#include "scheduler/cluster.h"
 
 #include <algorithm>
 #include <cstddef>
@@ -12,42 +15,40 @@
 
 namespace smite::scheduler {
 
-OnlineScheduler::OnlineScheduler(const Cluster &cluster,
-                                 OnlineConfig config)
-    : cluster_(cluster), config_(config)
+OnlineResult
+Cluster::runEpochs(double qos_target, const OnlineConfig &config,
+                   const std::string &name) const
 {
-    if (config_.epochs < 1)
+    if (config.epochs < 1)
         throw std::invalid_argument("epochs must be positive");
-    if (config_.probeBudget <= 0)
-        config_.probeBudget = std::max(1, cluster_.servers() / 4);
-    if (config_.headroom < 0.0)
+    if (config.headroom < 0.0)
         throw std::invalid_argument("headroom must be non-negative");
-    if (config_.spreadTolerance < 0.0)
+    if (config.spreadTolerance < 0.0)
         throw std::invalid_argument(
             "spreadTolerance must be non-negative");
-    if (config_.loadAware.enabled) {
-        const LoadAwareConfig &la = config_.loadAware;
+    const LoadAwareConfig &la = config.loadAware;
+    const bool load_aware = !la.kneeByPairing.empty();
+    if (load_aware) {
         if (la.baseQps <= 0.0)
             throw std::invalid_argument(
                 "load-aware admission needs a positive baseQps");
         if (la.spikeFactor < 1.0)
             throw std::invalid_argument("spikeFactor must be >= 1");
-        if (la.kneeByPairing.size() != cluster_.pairings_.size())
+        if (la.kneeByPairing.size() != pairings_.size())
             throw std::invalid_argument(
                 "knee table must cover every pairing");
-        const std::size_t depths =
-            static_cast<std::size_t>(cluster_.maxInstances()) + 1;
         for (const auto &row : la.kneeByPairing) {
-            if (row.size() != depths)
+            if (row.size() != static_cast<std::size_t>(maxInstances_) + 1)
                 throw std::invalid_argument(
                     "knee table rows must span depths 0..maxInstances");
         }
     }
-}
+    const std::size_t probe_budget = static_cast<std::size_t>(
+        config.probeBudget > 0 ? config.probeBudget
+                               : std::max(1, servers() / 4));
+    const bool observing = config.policy != EpochPolicy::kStatic;
+    const bool fairness = config.policy == EpochPolicy::kFairness;
 
-OnlineResult
-OnlineScheduler::run(double qos_target, const std::string &name) const
-{
     obs::Span span("scheduler.policy", name);
 
     obs::Registry &registry = obs::Registry::global();
@@ -62,8 +63,6 @@ OnlineScheduler::run(double qos_target, const std::string &name) const
     obs::Counter &probes = registry.counter("scheduler.online.probes");
     obs::Gauge &util_gauge =
         registry.gauge("scheduler.online.utilization");
-    // The failure/recovery flow shares the static loop's counters:
-    // the churn is the same phenomenon under either policy.
     obs::Counter &failures =
         registry.counter("scheduler.server_failures");
     obs::Counter &fail_evictions =
@@ -77,14 +76,12 @@ OnlineScheduler::run(double qos_target, const std::string &name) const
     const bool observe_noise =
         faults.enabled() && faults.armed("scheduler.observe");
 
-    const std::size_t n = static_cast<std::size_t>(cluster_.servers());
-    const int max_instances = cluster_.maxInstances();
+    const std::size_t n = assignment_.size();
+    const int max_instances = maxInstances_;
 
-    // Load-aware admission (inert unless enabled; its metrics are
-    // registered lazily so disabled runs leave the registry — and
-    // the report baselines diffed in tier-1 — untouched).
-    const bool load_aware = config_.loadAware.enabled;
-    const LoadAwareConfig &la = config_.loadAware;
+    // Load-aware and fairness metrics are registered only when their
+    // feature is on, so other runs leave the registry — and the report
+    // baselines diffed in tier-1 — untouched.
     obs::Counter *load_spikes_ctr = nullptr;
     obs::Counter *fillers_shed_ctr = nullptr;
     obs::Counter *load_violations_ctr = nullptr;
@@ -103,9 +100,6 @@ OnlineScheduler::run(double qos_target, const std::string &name) const
         load_aware && faults.enabled() &&
         faults.armed("des.arrival_burst");
 
-    // Fairness objective (inert under kUtilization; metrics lazily
-    // registered for the same baseline-stability reason as above).
-    const bool fairness = config_.objective == Objective::kFairness;
     obs::Counter *fairness_evictions_ctr = nullptr;
     obs::Gauge *max_slowdown_gauge = nullptr;
     obs::Gauge *spread_gauge = nullptr;
@@ -119,11 +113,13 @@ OnlineScheduler::run(double qos_target, const std::string &name) const
     }
 
     // Knee of server s at co-location depth d (d = 0 is solo).
-    auto kneeAt = [this](std::size_t s, int depth) {
-        return config_.loadAware
-            .kneeByPairing[static_cast<std::size_t>(
-                cluster_.assignment_[s].pairing)]
-                          [static_cast<std::size_t>(depth)];
+    auto kneeAt = [&](std::size_t s, int depth) {
+        return la.kneeByPairing[static_cast<std::size_t>(
+            assignment_[s].pairing)][static_cast<std::size_t>(depth)];
+    };
+    auto predicted = [&](std::size_t s) {
+        return instancesMeeting(s, qos_target,
+                                &CoLocationOption::predictedQos);
     };
     // Guaranteed admission never exceeds the deepest co-location
     // whose measured knee still clears the *design* load.
@@ -138,15 +134,13 @@ OnlineScheduler::run(double qos_target, const std::string &name) const
         }
     }
 
-    // Start from the static predicted placement; everything after is
-    // reaction to observations.
+    // Start from the predicted placement; everything after is
+    // reaction to churn and observations.
     std::vector<int> instances(n, 0);
     for (std::size_t s = 0; s < n; ++s)
-        instances[s] =
-            std::min(cluster_.predictedInstancesFor(s, qos_target),
-                     load_cap[s]);
+        instances[s] = std::min(predicted(s), load_cap[s]);
 
-    // What the policy has learned: the largest instance count each
+    // What the loop has learned: the largest instance count each
     // server has not been observed violating at. Caps only shrink, so
     // the placement converges instead of oscillating around the
     // oracle's count.
@@ -162,29 +156,27 @@ OnlineScheduler::run(double qos_target, const std::string &name) const
     // only): first shed, never guaranteed-protected.
     std::vector<int> fillers(n, 0);
     OnlineResult result;
-    result.timeline.reserve(static_cast<std::size_t>(config_.epochs));
+    result.timeline.reserve(static_cast<std::size_t>(config.epochs));
 
-    for (int epoch = 0; epoch < config_.epochs; ++epoch) {
+    for (int epoch = 0; epoch < config.epochs; ++epoch) {
         EpochStats stats;
         stats.epoch = epoch;
         epochs_run.add();
 
         // 1. Recovery: downed servers rejoin and are re-filled with
-        // the policy placement, bounded by the learned cap.
+        // the predicted placement, bounded by the learned cap.
         for (std::size_t s = 0; s < n; ++s) {
             if (!down[s])
                 continue;
             down[s] = false;
-            instances[s] = std::min(
-                {cluster_.predictedInstancesFor(s, qos_target), cap[s],
-                 load_cap[s]});
+            instances[s] = std::min({predicted(s), cap[s], load_cap[s]});
             observed_at[s] = -1;
             recoveries.add();
             ++stats.recoveries;
         }
 
-        // 2. Failures, keyed per (epoch, server) exactly like the
-        // static loop: a pure function of the armed seed.
+        // 2. Failures, keyed per (epoch, server): a pure function of
+        // the armed seed, identical under every policy.
         std::vector<int> evicted_batches;
         for (std::size_t s = 0; s < n; ++s) {
             if (!faults.enabled() ||
@@ -218,11 +210,16 @@ OnlineScheduler::run(double qos_target, const std::string &name) const
                         instances[s] >= load_cap[s] ||
                         instances[s] >= max_instances)
                         continue;
-                    const bool model_ok = cluster_.modelAdmitsOneMore(
-                        s, qos_target, instances[s]);
+                    // byInstances[k-1] describes k instances, so index
+                    // instances[s] is the QoS after one more.
+                    const bool model_ok =
+                        pairingOf(s)
+                            .byInstances[static_cast<std::size_t>(
+                                instances[s])]
+                            .predictedQos >= qos_target;
                     const bool observed_ok =
                         observed_at[s] == instances[s] &&
-                        observed_slack[s] >= config_.headroom;
+                        observed_slack[s] >= config.headroom;
                     if (!model_ok && !observed_ok)
                         continue;
                     ++instances[s];
@@ -281,73 +278,71 @@ OnlineScheduler::run(double qos_target, const std::string &name) const
         // Fillers carry no batch-QoS guarantee — that is what makes
         // them best-effort — so they live outside this loop; the knee
         // table (step 6) is the constraint that governs them.
-        std::vector<double> slowdown(n, 0.0);
-        std::vector<bool> observed_this_epoch(n, false);
-        double min_slowdown = 0.0, max_slowdown = 0.0;
-        bool any_observed = false;
-        for (std::size_t s = 0; s < n; ++s) {
-            if (down[s] || instances[s] <= 0)
-                continue;
-            const std::size_t k =
-                static_cast<std::size_t>(instances[s]);
-            double observed =
-                cluster_.pairingOf(s).byInstances[k - 1].actualQos;
-            if (observe_noise) {
-                const std::string key = epochServerKey(epoch, s);
-                if (faults.shouldInject("scheduler.observe", key)) {
-                    observed *= std::max(
-                        0.0,
-                        1.0 + faults.gaussian("scheduler.observe", key));
+        if (observing) {
+            std::vector<double> slowdown(n, 0.0);
+            double min_slowdown = 0.0, max_slowdown = 0.0;
+            bool any_observed = false;
+            for (std::size_t s = 0; s < n; ++s) {
+                if (down[s] || instances[s] <= 0)
+                    continue;
+                const std::size_t k =
+                    static_cast<std::size_t>(instances[s]);
+                double observed = pairingOf(s).byInstances[k - 1].actualQos;
+                if (observe_noise) {
+                    const auto key = epochServerKey(epoch, s);
+                    if (faults.shouldInject("scheduler.observe", key)) {
+                        observed *= std::max(
+                            0.0, 1.0 + faults.gaussian("scheduler.observe",
+                                                       key));
+                    }
+                }
+                observations.add();
+                slowdown[s] = 1.0 - observed;
+                min_slowdown = any_observed
+                                   ? std::min(min_slowdown, slowdown[s])
+                                   : slowdown[s];
+                max_slowdown = any_observed
+                                   ? std::max(max_slowdown, slowdown[s])
+                                   : slowdown[s];
+                any_observed = true;
+                if (observed < qos_target) {
+                    observed_violations.add();
+                    ++stats.observedViolations;
+                    qos_evictions.add();
+                    ++stats.qosEvictions;
+                    --instances[s];
+                    cap[s] = std::min(cap[s], instances[s]);
+                    observed_at[s] = -1;
+                } else {
+                    observed_slack[s] = observed - qos_target;
+                    observed_at[s] = instances[s];
                 }
             }
-            observations.add();
-            slowdown[s] = 1.0 - observed;
-            observed_this_epoch[s] = true;
-            min_slowdown = any_observed
-                               ? std::min(min_slowdown, slowdown[s])
-                               : slowdown[s];
-            max_slowdown = any_observed
-                               ? std::max(max_slowdown, slowdown[s])
-                               : slowdown[s];
-            any_observed = true;
-            if (observed < qos_target) {
-                observed_violations.add();
-                ++stats.observedViolations;
-                qos_evictions.add();
-                ++stats.qosEvictions;
-                --instances[s];
-                cap[s] = std::min(cap[s], instances[s]);
-                observed_at[s] = -1;
-            } else {
-                observed_slack[s] = observed - qos_target;
-                observed_at[s] = instances[s];
+            if (any_observed) {
+                stats.maxSlowdown = max_slowdown;
+                stats.slowdownSpread = max_slowdown - min_slowdown;
             }
-        }
-        if (any_observed) {
-            stats.maxSlowdown = max_slowdown;
-            stats.slowdownSpread = max_slowdown - min_slowdown;
-        }
 
-        // 4b. Fairness pass: trim one instance from every server whose
-        // observed slowdown exceeds the epoch's minimum by more than
-        // the spread tolerance, even though it met the QoS target.
-        // The learned cap shrinks with it, so — like QoS evictions —
-        // a trimmed count is never retried and the loop converges to
-        // a placement whose slowdown spread fits the tolerance band.
-        if (fairness && any_observed) {
-            for (std::size_t s = 0; s < n; ++s) {
-                if (!observed_this_epoch[s] ||
-                    observed_at[s] != instances[s] ||
-                    instances[s] <= 0)
-                    continue;  // just evicted on QoS, or not observed
-                if (slowdown[s] <=
-                    min_slowdown + config_.spreadTolerance)
-                    continue;
-                --instances[s];
-                cap[s] = std::min(cap[s], instances[s]);
-                observed_at[s] = -1;
-                fairness_evictions_ctr->add();
-                ++stats.fairnessEvictions;
+            // 4b. Fairness pass: trim one instance from every server
+            // observed at its current count whose slowdown exceeds the
+            // epoch's minimum by more than the spread tolerance, even
+            // though it met the QoS target. The learned cap shrinks
+            // with it, so — like QoS evictions — a trimmed count is
+            // never retried and the loop converges to a placement
+            // whose slowdown spread fits the tolerance band.
+            if (fairness) {
+                for (std::size_t s = 0; s < n; ++s) {
+                    if (observed_at[s] != instances[s] ||
+                        instances[s] <= 0 ||
+                        slowdown[s] <=
+                            min_slowdown + config.spreadTolerance)
+                        continue;
+                    --instances[s];
+                    cap[s] = std::min(cap[s], instances[s]);
+                    observed_at[s] = -1;
+                    fairness_evictions_ctr->add();
+                    ++stats.fairnessEvictions;
+                }
             }
         }
 
@@ -356,7 +351,7 @@ OnlineScheduler::run(double qos_target, const std::string &name) const
         // from zero), up to the per-epoch budget — but not in the
         // final epoch, so every probe is observed at least once
         // before the run is scored.
-        if (epoch < config_.epochs - 1) {
+        if (observing && epoch < config.epochs - 1) {
             struct Candidate {
                 std::size_t server;
                 double slack;
@@ -370,7 +365,7 @@ OnlineScheduler::run(double qos_target, const std::string &name) const
                 if (instances[s] == 0) {
                     candidates.push_back(Candidate{s, 0.0});
                 } else if (observed_at[s] == instances[s] &&
-                           observed_slack[s] >= config_.headroom) {
+                           observed_slack[s] >= config.headroom) {
                     candidates.push_back(
                         Candidate{s, observed_slack[s]});
                 }
@@ -381,9 +376,8 @@ OnlineScheduler::run(double qos_target, const std::string &name) const
                               return a.slack > b.slack;
                           return a.server < b.server;
                       });
-            const std::size_t budget = std::min(
-                candidates.size(),
-                static_cast<std::size_t>(config_.probeBudget));
+            const std::size_t budget =
+                std::min(candidates.size(), probe_budget);
             for (std::size_t i = 0; i < budget; ++i) {
                 const std::size_t s = candidates[i].server;
                 ++instances[s];
@@ -430,7 +424,7 @@ OnlineScheduler::run(double qos_target, const std::string &name) const
 
         // Epoch bookkeeping for the timeline and gauges. Fillers are
         // busy contexts too (that is their point), so they count in
-        // utilization; with load-aware off they are identically zero.
+        // utilization; without a knee table they are identically zero.
         int down_count = 0;
         double total = 0.0;
         double filler_total = 0.0;
@@ -443,10 +437,9 @@ OnlineScheduler::run(double qos_target, const std::string &name) const
         stats.totalInstances = total;
         stats.fillerInstances = filler_total;
         stats.utilization =
-            (static_cast<double>(stats.liveServers) *
-                 cluster_.latencyThreads_ +
+            (static_cast<double>(stats.liveServers) * latencyThreads_ +
              total + filler_total) /
-            (static_cast<double>(n) * cluster_.contextsPerServer_);
+            (static_cast<double>(n) * contextsPerServer_);
         util_gauge.set(stats.utilization);
         if (filler_gauge != nullptr)
             filler_gauge->set(filler_total);
@@ -457,21 +450,18 @@ OnlineScheduler::run(double qos_target, const std::string &name) const
         result.timeline.push_back(stats);
     }
 
-    int down_servers = 0;
-    for (std::size_t s = 0; s < n; ++s)
-        down_servers += down[s] ? 1 : 0;
-
     // Score the final placement's fairness from *actual* QoS (no
     // observation noise), like PolicyResult scores its compliance —
-    // the quantity the fairness objective exists to bound.
+    // the quantity the fairness policy exists to bound.
+    int down_servers = 0;
     double final_min = 0.0, final_max = 0.0;
     bool any_final = false;
     for (std::size_t s = 0; s < n; ++s) {
+        down_servers += down[s] ? 1 : 0;
         if (down[s] || instances[s] <= 0)
             continue;
         const std::size_t k = static_cast<std::size_t>(instances[s]);
-        const double sd =
-            1.0 - cluster_.pairingOf(s).byInstances[k - 1].actualQos;
+        const double sd = 1.0 - pairingOf(s).byInstances[k - 1].actualQos;
         final_min = any_final ? std::min(final_min, sd) : sd;
         final_max = any_final ? std::max(final_max, sd) : sd;
         any_final = true;
@@ -481,8 +471,7 @@ OnlineScheduler::run(double qos_target, const std::string &name) const
         result.finalSlowdownSpread = final_max - final_min;
     }
 
-    result.final =
-        cluster_.finish(name, qos_target, instances, down_servers);
+    result.final = finish(name, qos_target, instances, down_servers);
     return result;
 }
 

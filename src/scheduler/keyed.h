@@ -5,11 +5,13 @@
  * Two generations of churn randomness live side by side:
  *
  * - The epoch-granular string keys (`epoch<N>#server<S>`) that the
- *   static failure loop (cluster.cpp) and the OnlineScheduler
- *   (online.cpp) feed to the `server.fail` / `scheduler.observe`
+ *   paper-scale epoch loop (Cluster::runEpochs, epochs.cpp) feeds to
+ *   the `server.fail` / `scheduler.observe` / `des.arrival_burst`
  *   fault sites. epochServerKey() is the single definition of that
- *   format, so the two loops can never drift apart and always replay
- *   the identical churn trace for a given SMITE_FAULTS seed.
+ *   format, so every EpochPolicy replays the identical churn trace
+ *   for a given SMITE_FAULTS seed. The loop makes one check per
+ *   (epoch, server), so the key is formatted into a fixed inline
+ *   buffer and a check allocates nothing for it.
  *
  * - The numeric keyed streams used by the sharded streaming cluster
  *   (shard.h). Every draw is a pure function of
@@ -30,26 +32,44 @@
 #ifndef SMITE_SCHEDULER_KEYED_H
 #define SMITE_SCHEDULER_KEYED_H
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
-#include <string>
+#include <string_view>
 
 #include "fault/keyed_hash.h"
 
 namespace smite::scheduler {
 
 /**
- * The per-(epoch, server) fault-site key shared by the static failure
- * loop and the online scheduler, so both policies replay the exact
- * same churn trace under one SMITE_FAULTS plan.
+ * A per-(epoch, server) fault-site key held in a fixed inline buffer;
+ * it reads as the std::string_view that fault::FaultPlan's keyed
+ * checks take.
  */
-inline std::string
+struct EpochServerKey {
+    // "epoch" + signed int + "#server" + size_t digits.
+    char bytes[5 + std::numeric_limits<int>::digits10 + 2 + 7 +
+               std::numeric_limits<std::size_t>::digits10 + 1];
+    std::size_t size;
+
+    operator std::string_view() const { return {bytes, size}; }
+};
+
+/** The fault-site key `epoch<N>#server<S>`. */
+inline EpochServerKey
 epochServerKey(int epoch, std::size_t server)
 {
-    return "epoch" + std::to_string(epoch) + "#server" +
-           std::to_string(server);
+    EpochServerKey key{};
+    char *p = std::copy_n("epoch", 5, key.bytes);
+    p = std::to_chars(p, std::end(key.bytes), epoch).ptr;
+    p = std::copy_n("#server", 7, p);
+    p = std::to_chars(p, std::end(key.bytes), server).ptr;
+    key.size = static_cast<std::size_t>(p - key.bytes);
+    return key;
 }
 
 namespace keyed {

@@ -10,9 +10,11 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,7 +26,7 @@
 #include "obs/metrics.h"
 #include "queueing/des.h"
 #include "scheduler/cluster.h"
-#include "scheduler/online.h"
+#include "scheduler/keyed.h"
 #include "workload/spec2006.h"
 
 namespace smite {
@@ -391,6 +393,19 @@ TEST_F(FaultTest, DesServiceChaosIsDeterministicAndOnlyWhileArmed)
     EXPECT_EQ(run(), baseline);
 }
 
+/** The static epoch loop: churn only, no observation or probes. */
+scheduler::PolicyResult
+staticEpochs(const scheduler::Cluster &cluster, double qos_target,
+             int epochs)
+{
+    return cluster
+        .runEpochs(qos_target,
+                   scheduler::OnlineConfig{
+                       .epochs = epochs,
+                       .policy = scheduler::EpochPolicy::kStatic})
+        .final;
+}
+
 /** A pairing whose QoS falls linearly with instance count. */
 scheduler::Pairing
 linearPairing(double actual, double predicted)
@@ -412,7 +427,7 @@ TEST_F(FaultTest, FailurePolicyWithoutFaultsMatchesPredictedPolicy)
     const scheduler::Cluster cluster({linearPairing(0.02, 0.02)},
                                      {"svc"}, 60);
     const auto plain = cluster.runPredictedPolicy(0.90);
-    const auto epochs = cluster.runPredictedPolicyWithFailures(0.90, 5);
+    const auto epochs = staticEpochs(cluster, 0.90, 5);
     EXPECT_EQ(epochs.totalInstances, plain.totalInstances);
     EXPECT_EQ(epochs.coLocatedServers, plain.coLocatedServers);
     EXPECT_EQ(epochs.violatedServers, plain.violatedServers);
@@ -434,7 +449,7 @@ TEST_F(FaultTest, ServerFailuresEvictAndReplaceInstances)
     // violation.
     const scheduler::Cluster cluster({linearPairing(0.02, 0.02)},
                                      {"svc"}, 60);
-    const auto result = cluster.runPredictedPolicyWithFailures(0.90, 4);
+    const auto result = staticEpochs(cluster, 0.90, 4);
     EXPECT_GT(counter("scheduler.server_failures"), 0u);
     EXPECT_GT(counter("scheduler.evictions"), 0u);
     EXPECT_GT(counter("scheduler.recoveries"), 0u);
@@ -449,7 +464,7 @@ TEST_F(FaultTest, ServerFailuresEvictAndReplaceInstances)
     EXPECT_EQ(result.violatedServers, 0);
     EXPECT_LE(result.totalInstances, 5.0 * cluster.servers());
     EXPECT_GE(result.totalInstances, 0.0);
-    EXPECT_THROW(cluster.runPredictedPolicyWithFailures(0.90, 0),
+    EXPECT_THROW(staticEpochs(cluster, 0.90, 0),
                  std::invalid_argument);
 }
 
@@ -464,7 +479,7 @@ TEST_F(FaultTest, EpochLoopConservesInstancesUnderPinnedSeed)
                             SiteSpec{.probability = 0.25, .seed = 29});
     const scheduler::Cluster cluster({linearPairing(0.02, 0.02)},
                                      {"svc"}, 40);
-    const auto result = cluster.runPredictedPolicyWithFailures(0.90, 6);
+    const auto result = staticEpochs(cluster, 0.90, 6);
     EXPECT_GT(counter("scheduler.evictions"), 0u);
     EXPECT_EQ(counter("scheduler.replacements"), 0u);
     EXPECT_EQ(counter("scheduler.lost_instances"),
@@ -481,7 +496,7 @@ TEST_F(FaultTest, RecoveryRefillsDownedServersNextEpoch)
                             SiteSpec{.probability = 1.0, .seed = 7});
     const scheduler::Cluster cluster({linearPairing(0.02, 0.02)},
                                      {"svc"}, 20);
-    const auto result = cluster.runPredictedPolicyWithFailures(0.90, 3);
+    const auto result = staticEpochs(cluster, 0.90, 3);
     EXPECT_EQ(counter("scheduler.server_failures"), 60u);
     EXPECT_EQ(counter("scheduler.recoveries"), 40u);
     // Final epoch: everything is down, nothing is placed.
@@ -502,7 +517,7 @@ TEST_F(FaultTest, RandomPolicyRecordsIncidentOnUnreachableTarget)
     EXPECT_GE(obs::IncidentLog::global().count(), 1u);
 }
 
-TEST_F(FaultTest, OnlineSchedulerIsDeterministicUnderPinnedSeeds)
+TEST_F(FaultTest, EpochLoopIsDeterministicUnderPinnedSeeds)
 {
     FaultPlan::global().arm("server.fail",
                             SiteSpec{.probability = 0.15, .seed = 17});
@@ -511,10 +526,9 @@ TEST_F(FaultTest, OnlineSchedulerIsDeterministicUnderPinnedSeeds)
         SiteSpec{.probability = 1.0, .seed = 23, .sigma = 0.05});
     const scheduler::Cluster cluster({linearPairing(0.03, 0.02)},
                                      {"svc"}, 50);
-    const scheduler::OnlineScheduler online(
-        cluster, scheduler::OnlineConfig{.epochs = 8});
-    const auto a = online.run(0.90);
-    const auto b = online.run(0.90);
+    const scheduler::OnlineConfig config{.epochs = 8};
+    const auto a = cluster.runEpochs(0.90, config);
+    const auto b = cluster.runEpochs(0.90, config);
     EXPECT_EQ(a.final.totalInstances, b.final.totalInstances);
     EXPECT_EQ(a.final.violatedServers, b.final.violatedServers);
     EXPECT_EQ(a.final.downServers, b.final.downServers);
@@ -532,7 +546,7 @@ TEST_F(FaultTest, OnlineSchedulerIsDeterministicUnderPinnedSeeds)
     EXPECT_GT(counter("fault.scheduler.observe.injected"), 0u);
 }
 
-TEST_F(FaultTest, OnlineSchedulerIntegratesFailureFlow)
+TEST_F(FaultTest, EpochLoopIntegratesFailureFlow)
 {
     FaultPlan::global().arm("server.fail",
                             SiteSpec{.probability = 0.2, .seed = 11});
@@ -541,9 +555,8 @@ TEST_F(FaultTest, OnlineSchedulerIntegratesFailureFlow)
     // both sides of the conservation invariant are exercised.
     const scheduler::Cluster cluster({linearPairing(0.01, 0.05)},
                                      {"svc"}, 40);
-    const scheduler::OnlineScheduler online(
-        cluster, scheduler::OnlineConfig{.epochs = 6});
-    const auto result = online.run(0.90);
+    const auto result =
+        cluster.runEpochs(0.90, scheduler::OnlineConfig{.epochs = 6});
     EXPECT_GT(counter("scheduler.server_failures"), 0u);
     EXPECT_GT(counter("scheduler.recoveries"), 0u);
     EXPECT_GT(counter("scheduler.online.epochs"), 0u);
@@ -561,6 +574,65 @@ TEST_F(FaultTest, OnlineSchedulerIntegratesFailureFlow)
     EXPECT_EQ(evicted, replaced + lost_n);
     EXPECT_EQ(counter("scheduler.evictions"),
               static_cast<std::uint64_t>(evicted));
+}
+
+TEST_F(FaultTest, StaticEpochsNeverConsultTheObserveSite)
+{
+    FaultPlan::global().arm("server.fail",
+                            SiteSpec{.probability = 0.15, .seed = 17});
+    const scheduler::Cluster cluster({linearPairing(0.03, 0.02)},
+                                     {"svc"}, 50);
+    const auto plain = staticEpochs(cluster, 0.90, 8);
+
+    resetGlobals();
+    FaultPlan::global().arm("server.fail",
+                            SiteSpec{.probability = 0.15, .seed = 17});
+    FaultPlan::global().arm(
+        "scheduler.observe",
+        SiteSpec{.probability = 1.0, .seed = 23, .sigma = 0.05});
+    const auto noisy = staticEpochs(cluster, 0.90, 8);
+
+    // kStatic never observes, so the armed site is never checked and
+    // the churn-only placement is unchanged.
+    EXPECT_EQ(counter("fault.scheduler.observe.checks"), 0u);
+    EXPECT_GT(counter("fault.server.fail.checks"), 0u);
+    EXPECT_EQ(noisy.totalInstances, plain.totalInstances);
+    EXPECT_EQ(noisy.coLocatedServers, plain.coLocatedServers);
+    EXPECT_EQ(noisy.violatedServers, plain.violatedServers);
+    EXPECT_EQ(noisy.downServers, plain.downServers);
+    EXPECT_EQ(noisy.sumViolation, plain.sumViolation);
+    EXPECT_EQ(noisy.utilization(), plain.utilization());
+}
+
+TEST_F(FaultTest, EpochServerKeyBytesArePinned)
+{
+    auto bytes = [](int epoch, std::size_t server) {
+        return std::string(
+            std::string_view(scheduler::epochServerKey(epoch, server)));
+    };
+    EXPECT_EQ(bytes(0, 0), "epoch0#server0");
+    EXPECT_EQ(bytes(12, 3456), "epoch12#server3456");
+    EXPECT_EQ(bytes(std::numeric_limits<int>::max(),
+                    std::numeric_limits<std::size_t>::max()),
+              "epoch2147483647#server18446744073709551615");
+
+    // The view decides exactly like the equivalent heap string: the
+    // same keyed Bernoulli outcome and the same keyed Gaussian.
+    FaultPlan &faults = FaultPlan::global();
+    faults.arm("server.fail", SiteSpec{.probability = 0.5, .seed = 29});
+    faults.arm("scheduler.observe",
+               SiteSpec{.probability = 1.0, .seed = 31, .sigma = 0.05});
+    for (int epoch = 0; epoch < 4; ++epoch) {
+        for (std::size_t s = 0; s < 64; ++s) {
+            const auto key = scheduler::epochServerKey(epoch, s);
+            const std::string heap = "epoch" + std::to_string(epoch) +
+                                     "#server" + std::to_string(s);
+            EXPECT_EQ(faults.shouldInject("server.fail", key),
+                      faults.shouldInject("server.fail", heap));
+            EXPECT_EQ(faults.gaussian("scheduler.observe", key),
+                      faults.gaussian("scheduler.observe", heap));
+        }
+    }
 }
 
 } // namespace

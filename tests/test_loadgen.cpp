@@ -9,13 +9,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/parallel.h"
 #include "fault/fault.h"
 #include "loadgen/knee.h"
 #include "loadgen/loadgen.h"
 #include "obs/metrics.h"
-#include "scheduler/online.h"
+#include "scheduler/cluster.h"
 
 namespace smite::loadgen {
 namespace {
@@ -451,18 +453,12 @@ TEST(LoadAware, ValidatesItsConfiguration)
     const scheduler::Cluster cluster(
         {linearPairing(0.02)}, {"svc"}, 10);
     scheduler::OnlineConfig config;
-    config.loadAware.enabled = true;
     config.loadAware.baseQps = 0.0; // invalid
     config.loadAware.kneeByPairing = {linearKnees(1500, 100)};
-    EXPECT_THROW(scheduler::OnlineScheduler(cluster, config),
-                 std::invalid_argument);
+    EXPECT_THROW(cluster.runEpochs(0.90, config), std::invalid_argument);
     config.loadAware.baseQps = 400.0;
-    config.loadAware.kneeByPairing.clear(); // missing table
-    EXPECT_THROW(scheduler::OnlineScheduler(cluster, config),
-                 std::invalid_argument);
     config.loadAware.kneeByPairing = {{1500, 1400}}; // short row
-    EXPECT_THROW(scheduler::OnlineScheduler(cluster, config),
-                 std::invalid_argument);
+    EXPECT_THROW(cluster.runEpochs(0.90, config), std::invalid_argument);
 }
 
 TEST(LoadAware, DisabledMatchesBaselineExactly)
@@ -475,13 +471,24 @@ TEST(LoadAware, DisabledMatchesBaselineExactly)
         {linearPairing(0.02)}, {"svc"}, 100);
     scheduler::OnlineConfig config;
     config.epochs = 10;
-    const auto baseline =
-        scheduler::OnlineScheduler(cluster, config).run(0.90);
-    config.loadAware.kneeByPairing = {linearKnees(1500, 100)};
+    const auto baseline = cluster.runEpochs(0.90, config);
+    const std::vector<std::string> names_before =
+        obs::Registry::global().names();
+    // Load parameters without a knee table: admission stays off, the
+    // run is identical and registers no load-aware metric.
     config.loadAware.baseQps = 400.0;
-    // Not enabled: the table is inert and the run identical.
-    const auto inert =
-        scheduler::OnlineScheduler(cluster, config).run(0.90);
+    config.loadAware.spikeFactor = 3.0;
+    const auto inert = cluster.runEpochs(0.90, config);
+    EXPECT_EQ(obs::Registry::global().names(), names_before);
+    for (const char *name : {"scheduler.online.load_spikes",
+                             "scheduler.online.fillers_shed",
+                             "scheduler.online.load_violations",
+                             "scheduler.online.filler_instances"}) {
+        EXPECT_EQ(std::count(names_before.begin(), names_before.end(),
+                             name),
+                  0)
+            << name;
+    }
     ASSERT_EQ(baseline.timeline.size(), inert.timeline.size());
     for (std::size_t e = 0; e < baseline.timeline.size(); ++e) {
         EXPECT_EQ(baseline.timeline[e].totalInstances,
@@ -491,6 +498,7 @@ TEST(LoadAware, DisabledMatchesBaselineExactly)
         EXPECT_EQ(inert.timeline[e].fillerInstances, 0.0);
         EXPECT_EQ(inert.timeline[e].fillersShed, 0);
         EXPECT_EQ(inert.timeline[e].loadSpikes, 0);
+        EXPECT_EQ(inert.timeline[e].loadViolations, 0);
     }
     EXPECT_EQ(baseline.final.totalInstances,
               inert.final.totalInstances);
@@ -504,12 +512,10 @@ TEST(LoadAware, KneeCapsGuaranteedAdmission)
         {linearPairing(0.02)}, {"svc"}, 50);
     scheduler::OnlineConfig config;
     config.epochs = 4;
-    config.loadAware.enabled = true;
     config.loadAware.baseQps = 400.0;
     // knee(3) = 500 >= 400 > knee(4) = 300.
     config.loadAware.kneeByPairing = {linearKnees(1100, 200)};
-    const auto run =
-        scheduler::OnlineScheduler(cluster, config).run(0.90);
+    const auto run = cluster.runEpochs(0.90, config);
     // 50 servers x depth 3 guaranteed; fillers cannot exceed the
     // knee either, so the total stays at the load cap.
     EXPECT_EQ(run.timeline.back().totalInstances, 150.0);
@@ -523,12 +529,10 @@ TEST(LoadAware, FillersPackIdleContextsAtBaseLoad)
         {linearPairing(0.04)}, {"svc"}, 50);
     scheduler::OnlineConfig config;
     config.epochs = 6;
-    config.loadAware.enabled = true;
     config.loadAware.baseQps = 400.0;
     // Generous knees: depth 6 still carries 900 QPS.
     config.loadAware.kneeByPairing = {linearKnees(1500, 100)};
-    const auto run =
-        scheduler::OnlineScheduler(cluster, config).run(0.90);
+    const auto run = cluster.runEpochs(0.90, config);
     const auto &last = run.timeline.back();
     // QoS admits 2 guaranteed (4%/instance); fillers take the rest.
     EXPECT_EQ(last.totalInstances, 100.0);
@@ -552,12 +556,10 @@ TEST(LoadAware, SpikesShedFillersNeverGuaranteed)
     // Unreachable headroom suppresses QoS probes: the test isolates
     // the filler dynamics from probe/evict convergence noise.
     config.headroom = 0.5;
-    config.loadAware.enabled = true;
     config.loadAware.baseQps = 400.0;
     config.loadAware.spikeFactor = 2.0;
     config.loadAware.kneeByPairing = {linearKnees(1300, 100)};
-    const auto run =
-        scheduler::OnlineScheduler(cluster, config).run(0.90);
+    const auto run = cluster.runEpochs(0.90, config);
     int spikes = 0, shed = 0, load_violations = 0;
     for (const auto &e : run.timeline) {
         spikes += e.loadSpikes;
@@ -589,14 +591,12 @@ TEST(LoadAware, UndersizedGuaranteedKneeIsCountedNotEvicted)
         {linearPairing(0.02)}, {"svc"}, 20);
     scheduler::OnlineConfig config;
     config.epochs = 3;
-    config.loadAware.enabled = true;
     config.loadAware.baseQps = 400.0;
     config.loadAware.spikeFactor = 2.0;
     // Base load fits depth 5 (knee 450), but the spike (800) exceeds
     // even knee(5): the guaranteed tier itself is past its knee.
     config.loadAware.kneeByPairing = {linearKnees(1450, 200)};
-    const auto run =
-        scheduler::OnlineScheduler(cluster, config).run(0.90);
+    const auto run = cluster.runEpochs(0.90, config);
     int load_violations = 0;
     for (const auto &e : run.timeline) {
         load_violations += e.loadViolations;
