@@ -11,7 +11,7 @@
  *   server, the O(cluster) cost the paper-scale Cluster pays;
  * - shards=N: the streaming engine — per-shard event calendars touch
  *   only the servers with due churn, O(churn) per epoch (and the
- *   shard passes additionally spread across SMITE_THREADS).
+ *   bootstrap pass additionally spreads across SMITE_THREADS).
  *
  * Their results must be byte-identical (digest-checked here, and a
  * hard failure if not); the throughput gap between them is therefore

@@ -15,10 +15,15 @@ cmake -B build -S .
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
-# Data-race check: the parallel engine's tests under TSan.
+# Data-race check under TSan: the parallel engine's tests, plus its
+# hottest long-lived-pool users (the sharded scheduler and the
+# metrics registry).
 cmake -B build-tsan -S . -DSMITE_TSAN=ON
-cmake --build build-tsan -j"$JOBS" --target test_parallel
+cmake --build build-tsan -j"$JOBS" --target test_parallel test_shard \
+    test_obs
 ./build-tsan/tests/test_parallel
+./build-tsan/tests/test_shard
+./build-tsan/tests/test_obs
 
 # Memory-safety / UB check: the whole test suite under ASan + UBSan
 # (any UBSan report is fatal, not just printed).

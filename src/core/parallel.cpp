@@ -1,9 +1,13 @@
 #include "core/parallel.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "fault/fault.h"
 #include "obs/metrics.h"
@@ -14,14 +18,17 @@ namespace smite::core {
 namespace {
 
 /**
- * Pool metrics (docs/OBSERVABILITY.md): batches/tasks executed, the
- * width of the last batch, and — only while SMITE_METRICS is on,
+ * Pool metrics (docs/OBSERVABILITY.md): batches dispatched to a pool
+ * and calls served inline on the caller, tasks executed, the width of
+ * the last dispatched batch, and — only while SMITE_METRICS is on,
  * because it costs two clock reads per task — a task-latency
  * histogram in microseconds.
  */
 struct PoolMetrics {
     obs::Counter &batches =
         obs::Registry::global().counter("pool.batches");
+    obs::Counter &inline_batches =
+        obs::Registry::global().counter("pool.inline_batches");
     obs::Counter &tasks = obs::Registry::global().counter("pool.tasks");
     obs::Gauge &width = obs::Registry::global().gauge("pool.width");
     obs::Histogram &task_us =
@@ -34,6 +41,13 @@ struct PoolMetrics {
         return metrics;
     }
 };
+
+/**
+ * True while this thread runs a pool task: always on a worker, and on
+ * a caller while it drains its own batch. A parallelFor issued here
+ * runs inline instead of waiting on a pool.
+ */
+thread_local bool t_inPoolTask = false;
 
 /**
  * `pool.delay` fault site: stall this task for the site's configured
@@ -72,6 +86,35 @@ runTimed(const std::function<void(std::size_t)> &body, std::size_t i)
         std::chrono::duration<double, std::micro>(t1 - t0).count());
 }
 
+/**
+ * A parallelFor served on the calling thread: a plain loop whose
+ * iterations, like a pool's, pass the `pool.delay` fault site and
+ * feed `pool.task_us`.
+ */
+void
+runInline(std::size_t n, const std::function<void(std::size_t)> &body)
+{
+    PoolMetrics::get().inline_batches.add();
+    for (std::size_t i = 0; i < n; ++i)
+        runTimed(body, i);
+}
+
+/**
+ * The process-wide pool of width @p threads (> 1), created on first
+ * use. The map's destructor joins every pool's workers at exit.
+ */
+ThreadPool &
+sharedPool(int threads)
+{
+    static std::mutex mu;
+    static std::map<int, std::unique_ptr<ThreadPool>> pools;
+    std::lock_guard<std::mutex> lock(mu);
+    std::unique_ptr<ThreadPool> &pool = pools[threads];
+    if (!pool)
+        pool = std::make_unique<ThreadPool>(threads);
+    return *pool;
+}
+
 } // namespace
 
 int
@@ -108,40 +151,49 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::drainBatch()
+ThreadPool::drainBatch(const std::function<void(std::size_t)> &body,
+                       std::size_t total)
 {
     for (;;) {
         const std::size_t i =
             next_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= total_)
+        if (i >= total)
             return;
         try {
-            runTimed(*body_, i);
+            runTimed(body, i);
         } catch (...) {
             std::lock_guard<std::mutex> lock(mu_);
             if (!error_)
                 error_ = std::current_exception();
         }
-        std::lock_guard<std::mutex> lock(mu_);
-        if (++completed_ == total_)
-            done_cv_.notify_all();
     }
 }
 
 void
 ThreadPool::workerLoop()
 {
+    t_inPoolTask = true;
     std::uint64_t seen = 0;
+    std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            work_cv_.wait(
-                lock, [&] { return stop_ || epoch_ != seen; });
-            if (stop_)
-                return;
-            seen = epoch_;
-        }
-        drainBatch();
+        // Join only an open batch this worker has not served yet. A
+        // worker that wakes after its batch closed keeps sleeping, so
+        // it can never claim an index against a stale cursor.
+        work_cv_.wait(lock, [&] {
+            return stop_ || (body_ != nullptr && epoch_ != seen);
+        });
+        if (stop_)
+            return;
+        seen = epoch_;
+        const std::function<void(std::size_t)> &body = *body_;
+        const std::size_t total = total_;
+        ++active_;
+        lock.unlock();
+        drainBatch(body, total);
+        lock.lock();
+        // The last worker out wakes the caller.
+        if (--active_ == 0)
+            done_cv_.notify_one();
     }
 }
 
@@ -151,49 +203,69 @@ ThreadPool::parallelFor(std::size_t n,
 {
     if (n == 0)
         return;
+    if (workers_.empty() || n == 1 || t_inPoolTask ||
+        busy_.exchange(true, std::memory_order_acquire)) {
+        runInline(n, body);
+        return;
+    }
+    struct Release {
+        std::atomic<bool> &busy;
+        ~Release() { busy.store(false, std::memory_order_release); }
+    } release{busy_};
+
     PoolMetrics &metrics = PoolMetrics::get();
     metrics.batches.add();
     metrics.tasks.add(n);
     metrics.width.set(size());
-    obs::Span span("pool.batch", std::to_string(n) + " tasks x " +
-                                     std::to_string(size()) +
-                                     " workers");
-    if (workers_.empty() || n == 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            runTimed(body, i);
-        return;
-    }
+    obs::Span span("pool.batch",
+                   obs::TraceSession::global().enabled()
+                       ? std::to_string(n) + " tasks x " +
+                             std::to_string(size()) + " workers"
+                       : std::string());
     {
         std::lock_guard<std::mutex> lock(mu_);
         body_ = &body;
         total_ = n;
-        completed_ = 0;
-        error_ = nullptr;
         next_.store(0, std::memory_order_relaxed);
         ++epoch_;
     }
-    work_cv_.notify_all();
-    drainBatch();  // the caller is a worker too
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return completed_ == total_; });
-    body_ = nullptr;
-    if (error_)
-        std::rethrow_exception(error_);
+    // Wake only as many workers as there are iterations beyond the
+    // caller's own; the rest stay parked.
+    const std::size_t helpers = std::min(n - 1, workers_.size());
+    for (std::size_t k = 0; k < helpers; ++k)
+        work_cv_.notify_one();
+    // The caller is a worker too (drainBatch never throws).
+    t_inPoolTask = true;
+    drainBatch(body, n);
+    t_inPoolTask = false;
+    // Every index is claimed once the caller's drain returns, and only
+    // joined workers run claimed indices, so the batch is complete
+    // when none is left inside it. Closing it under the same lock
+    // keeps any later waker out.
+    std::exception_ptr error;
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        done_cv_.wait(lock, [&] { return active_ == 0; });
+        body_ = nullptr;
+        error = std::exchange(error_, nullptr);
+    }
+    if (error)
+        std::rethrow_exception(error);
 }
 
 void
 parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
             int threads)
 {
+    if (n == 0)
+        return;
     if (threads <= 0)
         threads = defaultThreadCount();
-    if (threads == 1 || n <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            body(i);
+    if (threads == 1 || n == 1) {
+        runInline(n, body);
         return;
     }
-    ThreadPool pool(threads);
-    pool.parallelFor(n, body);
+    sharedPool(threads).parallelFor(n, body);
 }
 
 } // namespace smite::core

@@ -1,6 +1,7 @@
 /**
  * @file
- * Minimal parallel-execution engine for the measurement Lab.
+ * Minimal parallel-execution engine for the measurement Lab and the
+ * sharded scheduler.
  *
  * Every measurement the paper's protocol needs — N workloads x 7
  * Ruler dimensions x {SMT, CMP}, plus O(N^2) ordered training pairs —
@@ -17,10 +18,21 @@
  * batch is byte-identical to the serial loop — the simulations
  * themselves are pure functions of (config, seed).
  *
- * The worker count defaults to the SMITE_THREADS environment variable
- * when set, else std::thread::hardware_concurrency(). With one
- * thread, parallelFor degrades to a plain loop on the calling thread
- * (no pool, no locks) — the serial path.
+ * Reused pools: the free parallelFor() keeps one long-lived pool per
+ * width, created on first use and joined at process exit, so a call
+ * costs a batch handoff to parked workers, not thread creation. At
+ * most `threads` threads (the caller included) run body at once.
+ *
+ * Inline rule: a call runs as a plain loop on the calling thread —
+ * no pool, no waiting — when the width is 1, when n <= 1, when it is
+ * nested inside a pool task, or when the width's pool is already
+ * running another caller's batch. A call therefore never blocks on a
+ * pool that might be waiting on it, so single-flight MemoCache waits
+ * inside pool tasks cannot deadlock. `pool.inline_batches` counts
+ * these calls; `pool.batches` counts the ones dispatched to a pool.
+ *
+ * The width defaults to the SMITE_THREADS environment variable when
+ * set, else std::thread::hardware_concurrency().
  */
 
 #ifndef SMITE_CORE_PARALLEL_H
@@ -48,11 +60,12 @@ int defaultThreadCount();
 /**
  * A fixed-size pool executing one indexed loop at a time.
  *
- * The pool owns size()-1 worker threads; the thread calling
- * parallelFor() participates as the size()-th worker, so a pool of
- * size 1 owns no threads at all and runs everything inline.
- * Iterations are claimed dynamically (one atomic fetch_add per
- * iteration), so unequal iteration costs balance automatically.
+ * The pool owns size()-1 worker threads, parked on a condition
+ * variable between batches; the thread calling parallelFor()
+ * participates as the size()-th worker, so a pool of size 1 owns no
+ * threads at all and runs everything inline. Iterations are claimed
+ * dynamically (one atomic fetch_add per iteration), so unequal
+ * iteration costs balance automatically.
  */
 class ThreadPool
 {
@@ -69,35 +82,42 @@ class ThreadPool
 
     /**
      * Run body(i) for every i in [0, n), blocking until all
-     * iterations finish. The first exception thrown by any iteration
-     * is rethrown here (remaining iterations still run). Only one
-     * parallelFor may be active on a pool at a time.
+     * iterations finish. On the pool, the first exception thrown by
+     * any iteration is rethrown here (remaining iterations still
+     * run). A call made while the pool runs another batch, or from
+     * inside any pool task, runs as a plain loop on the caller
+     * instead; there the first exception propagates at once.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);
 
   private:
     void workerLoop();
-    /** Claim and run iterations of the current batch until empty. */
-    void drainBatch();
+    /** Claim and run iterations of one batch until none are left. */
+    void drainBatch(const std::function<void(std::size_t)> &body,
+                    std::size_t total);
 
-    std::vector<std::thread> workers_;
+    std::atomic<bool> busy_{false};     ///< a caller owns the pool
     std::mutex mu_;
     std::condition_variable work_cv_;   ///< workers wait for a batch
     std::condition_variable done_cv_;   ///< caller waits for drain
+    // The open batch; written by its caller under mu_, snapshotted by
+    // each worker under mu_ when it joins. nullptr = no batch open.
     const std::function<void(std::size_t)> *body_ = nullptr;
-    std::atomic<std::size_t> next_{0};  ///< shared iteration cursor
     std::size_t total_ = 0;
-    std::size_t completed_ = 0;
+    std::atomic<std::size_t> next_{0};  ///< shared iteration cursor
+    int active_ = 0;                    ///< workers inside the batch
     std::uint64_t epoch_ = 0;           ///< batch generation counter
     std::exception_ptr error_;
     bool stop_ = false;
+    std::vector<std::thread> workers_;  ///< last: they use the above
 };
 
 /**
- * One-shot parallel loop: run body(i) for i in [0, n) on @p threads
- * workers (<= 0 = defaultThreadCount()). With one thread or n <= 1
- * this is a plain serial loop on the calling thread.
+ * Parallel loop: run body(i) for i in [0, n) on at most @p threads
+ * threads (<= 0 = defaultThreadCount()), on the process-wide pool of
+ * that width. Same contract as ThreadPool::parallelFor; with one
+ * thread or n <= 1 this is a plain loop on the calling thread.
  */
 void parallelFor(std::size_t n,
                  const std::function<void(std::size_t)> &body,

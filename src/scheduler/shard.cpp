@@ -526,11 +526,13 @@ ShardedCluster::runStream(const TierPolicy &tiers,
             evictQueues_[static_cast<std::size_t>(shard)].clear();
         }
 
-        // Phase A — the churn event pass, shard-parallel. Every
-        // mutation is shard-local (a server's state belongs to
-        // exactly one shard), so the pass is race-free; merge order
-        // below is shard index order regardless of which thread ran
-        // which shard.
+        // Phase A — the churn event pass, one shard after another
+        // on the caller (width 1). Every mutation is shard-local (a
+        // server's state belongs to exactly one shard), so the pass
+        // could run shard-parallel, but on a 4-core host a 4-way
+        // pass was no faster than this at 4k/32k/128k servers
+        // (docs/PERFORMANCE.md). Merge order below is shard index
+        // order either way.
         core::parallelFor(
             static_cast<std::size_t>(shards_),
             [&](std::size_t shard) {
@@ -563,7 +565,7 @@ ShardedCluster::runStream(const TierPolicy &tiers,
                     processServerEvents(static_cast<int>(shard), s,
                                         epoch, delta);
             },
-            threads_);
+            1);
 
         StreamEpochStats stats;
         stats.epoch = epoch;

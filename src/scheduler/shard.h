@@ -15,10 +15,11 @@
  *   shards. Each shard owns its servers' placement state, a churn
  *   *event calendar* (epoch -> servers with something due) and an
  *   incrementally-maintained aggregate (live contexts, instances,
- *   violations). The per-epoch event pass runs shard-parallel on the
- *   `SMITE_THREADS` pool; shard results merge in shard index order,
- *   which is ascending server order, so output is byte-identical
- *   across thread counts *and* shard counts.
+ *   violations). The bootstrap pass runs shard-parallel on the
+ *   `SMITE_THREADS` pool and the per-epoch event pass shard by shard
+ *   on the caller; shard results merge in shard index order, which
+ *   is ascending server order, so output is byte-identical across
+ *   thread counts *and* shard counts.
  *
  * - **Streaming epochs.** Churn randomness is drawn from per-server
  *   keyed streams (keyed.h): instead of flipping a failure /
@@ -241,7 +242,7 @@ class ShardedCluster
     /**
      * Run @p epochs streaming decision epochs from an empty
      * placement: bootstrap the best-effort fill, then per epoch
-     * process due churn events (shard-parallel), re-place
+     * process due churn events (shard by shard), re-place
      * failure-evicted guaranteed jobs, place the epoch's arrivals
      * (both by keyed power-of-d-choices probing), and snapshot the
      * integer aggregates into the timeline.
@@ -255,7 +256,7 @@ class ShardedCluster
     }
     int shardCount() const { return shards_; }
 
-    /** Thread override for the event pass; 0 = SMITE_THREADS/default. */
+    /** Thread override for the bootstrap pass; 0 = SMITE_THREADS/default. */
     void setThreads(int threads) { threads_ = threads; }
 
     /** Machine class of server @p s. */

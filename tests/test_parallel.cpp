@@ -6,9 +6,12 @@
  * guarantee of the memo caches, and the SMITE_THREADS=1 serial path.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -20,6 +23,7 @@
 #include "core/experiment.h"
 #include "core/memo_cache.h"
 #include "core/parallel.h"
+#include "obs/metrics.h"
 #include "workload/spec2006.h"
 
 namespace smite::core {
@@ -118,16 +122,135 @@ TEST(ParallelFor, PoolIsReusableAcrossBatches)
     }
 }
 
+TEST(ParallelFor, ReusedPoolRunsUnequalBatchesExactlyOnce)
+{
+    // A worker that is late for a narrow batch must not claim an index
+    // of the wide batch after it: that index would run twice and the
+    // caller could wait forever for a completion count it overshot.
+    // One spinning thread per core preempts the pool's threads at
+    // arbitrary points, which is what opens that window.
+    struct Hogs {
+        std::atomic<bool> stop{false};
+        std::vector<std::thread> threads;
+        ~Hogs()
+        {
+            stop.store(true, std::memory_order_relaxed);
+            for (std::thread &t : threads)
+                t.join();
+        }
+    } hogs;
+    const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+    for (unsigned h = 0; h < cores; ++h) {
+        hogs.threads.emplace_back([&hogs] {
+            while (!hogs.stop.load(std::memory_order_relaxed)) {
+            }
+        });
+    }
+
+    // Batches run back to back (no per-round bookkeeping in between,
+    // which would close the window); the tally is checked at the end.
+    constexpr int kRounds = 50'000;
+    ThreadPool pool(4);
+    std::vector<std::atomic<int>> hits(64);
+    const std::function<void(std::size_t)> body = [&](std::size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+    };
+    for (int round = 0; round < kRounds; ++round)
+        pool.parallelFor(round % 2 == 0 ? 64 : 2, body);
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+        EXPECT_EQ(hits[i].load(), i < 2 ? kRounds : kRounds / 2)
+            << "index " << i;
+    }
+}
+
+TEST(ParallelFor, SharedPoolUsableAfterThrowingBatch)
+{
+    for (int round = 0; round < 3; ++round) {
+        EXPECT_THROW(
+            parallelFor(
+                16,
+                [](std::size_t i) {
+                    if (i == 7)
+                        throw std::runtime_error("boom");
+                },
+                4),
+            std::runtime_error);
+        std::vector<std::atomic<int>> hits(100);
+        parallelFor(
+            hits.size(),
+            [&](std::size_t i) {
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+            },
+            4);
+        for (const auto &h : hits)
+            EXPECT_EQ(h.load(), 1);
+    }
+}
+
+TEST(ParallelFor, NestedAndConcurrentCallsFinishWithinWidth)
+{
+    constexpr int kWidth = 3;
+    constexpr std::size_t kOuter = 24;
+    constexpr std::size_t kInner = 16;
+
+    // One call: kOuter tasks, each running a nested kInner-way loop.
+    // Records every thread that ran any of its iterations.
+    const auto call = [&](std::vector<std::atomic<int>> &hits,
+                          std::set<std::thread::id> &ids) {
+        std::mutex mu;
+        parallelFor(
+            kOuter,
+            [&](std::size_t o) {
+                parallelFor(
+                    kInner,
+                    [&](std::size_t i) {
+                        hits[o * kInner + i].fetch_add(
+                            1, std::memory_order_relaxed);
+                        std::lock_guard<std::mutex> lock(mu);
+                        ids.insert(std::this_thread::get_id());
+                    },
+                    kWidth);
+            },
+            kWidth);
+    };
+
+    constexpr int kCallers = 4;
+    std::vector<std::vector<std::atomic<int>>> hits;
+    for (int c = 0; c < kCallers; ++c)
+        hits.emplace_back(kOuter * kInner);
+    std::vector<std::set<std::thread::id>> ids(kCallers);
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c)
+        callers.emplace_back([&, c] { call(hits[c], ids[c]); });
+    for (std::thread &t : callers)
+        t.join();
+
+    for (int c = 0; c < kCallers; ++c) {
+        for (const auto &h : hits[c])
+            EXPECT_EQ(h.load(), 1);
+        EXPECT_LE(ids[c].size(), static_cast<std::size_t>(kWidth));
+    }
+}
+
 TEST(ParallelFor, SmiteThreadsOneDegradesToSerialPath)
 {
     ScopedThreadsEnv env("1");
     EXPECT_EQ(defaultThreadCount(), 1);
-    // With one thread every iteration runs inline on the caller.
+    // With one thread every iteration runs inline on the caller, and
+    // the call counts as an inline batch, not a pool batch.
+    const obs::Counter &pooled =
+        obs::Registry::global().counter("pool.batches");
+    const obs::Counter &inlined =
+        obs::Registry::global().counter("pool.inline_batches");
+    const std::uint64_t pooled0 = pooled.value();
+    const std::uint64_t inlined0 = inlined.value();
     const auto caller = std::this_thread::get_id();
     std::set<std::thread::id> ids;
     parallelFor(32, [&](std::size_t) { ids.insert(std::this_thread::get_id()); });
     ASSERT_EQ(ids.size(), 1u);
     EXPECT_EQ(*ids.begin(), caller);
+    EXPECT_EQ(pooled.value(), pooled0);
+    EXPECT_EQ(inlined.value(), inlined0 + 1);
 }
 
 TEST(ParallelFor, SmiteThreadsEnvOverridesWidth)

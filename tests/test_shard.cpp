@@ -10,6 +10,7 @@
 
 #include <cstdint>
 
+#include "obs/metrics.h"
 #include "scheduler/keyed.h"
 #include "scheduler/shard.h"
 
@@ -202,6 +203,39 @@ TEST(ShardedCluster, ThreadCountDoesNotChangeResults)
 
     EXPECT_TRUE(sameRun(serial.runStream(tiers, churn, 32),
                         threaded.runStream(tiers, churn, 32)));
+}
+
+TEST(ShardedCluster, ChurnPassRunsOnCallerAtAnyWidth)
+{
+    // Heavy churn (hundreds of due events per epoch) at width 4: only
+    // the bootstrap pass reaches the pool; every epoch's churn pass
+    // runs shard by shard on the caller, with the serial results.
+    const std::vector<MachineClass> classes = {
+        uniformClass("m", 6, 12, 4)};
+    const TierPolicy tiers{0.90, 0.70};
+    ChurnConfig churn = testChurn();
+    churn.arrivalsPerEpoch = 400;
+    churn.departProb = 0.2;
+    churn.failProb = 0.05;
+    const int epochs = 16;
+
+    ShardedCluster serial(classes, {4000}, 16);
+    serial.setThreads(1);
+    ShardedCluster threaded(classes, {4000}, 16);
+    threaded.setThreads(4);
+
+    const obs::Counter &batches =
+        obs::Registry::global().counter("pool.batches");
+    const obs::Counter &inline_batches =
+        obs::Registry::global().counter("pool.inline_batches");
+    const StreamResult a = serial.runStream(tiers, churn, epochs);
+    const std::uint64_t batches0 = batches.value();
+    const std::uint64_t inline0 = inline_batches.value();
+    const StreamResult b = threaded.runStream(tiers, churn, epochs);
+    EXPECT_TRUE(sameRun(a, b));
+    EXPECT_EQ(batches.value() - batches0, 1u);
+    EXPECT_EQ(inline_batches.value() - inline0,
+              static_cast<std::uint64_t>(epochs));
 }
 
 TEST(ShardedCluster, ChurnConservation)
