@@ -5,9 +5,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 #include "core/parallel.h"
 #include "obs/incident.h"
@@ -35,21 +37,65 @@ envInt(const char *name, int fallback)
     return fallback;
 }
 
+/** Aggregate IPC over counters[begin, end). */
+double
+aggregateIpc(const std::vector<sim::CounterBlock> &counters,
+             std::size_t begin, std::size_t end)
+{
+    double sum = 0.0;
+    for (std::size_t i = begin; i < end; ++i)
+        sum += counters[i].ipc();
+    return sum;
+}
+
+/**
+ * Placements of @p threads instances of @p profile (seeds
+ * 1..threads) on context 0 of cores 0..threads-1. The sources are
+ * built into @p sources, which must outlive the run.
+ */
+std::vector<sim::Placement>
+placeApp(const workload::WorkloadProfile &profile, int threads,
+         std::vector<workload::ProfileUopSource> &sources)
+{
+    sources.reserve(threads);  // placements point into it
+    std::vector<sim::Placement> placements;
+    for (int t = 0; t < threads; ++t) {
+        sources.emplace_back(profile, /*seed=*/1 + t);
+        placements.push_back(sim::Placement{t, 0, &sources.back()});
+    }
+    return placements;
+}
+
+/**
+ * Slot of the @p k-th co-runner of a @p threads -thread application:
+ * the sibling context of the app's core k (SMT) or the k-th core past
+ * the app's (CMP).
+ */
+sim::Placement
+coRunnerSlot(CoLocationMode mode, int threads, int k,
+             sim::UopSource *source)
+{
+    return mode == CoLocationMode::kSmt
+               ? sim::Placement{k, 1, source}
+               : sim::Placement{threads + k, 0, source};
+}
+
 } // namespace
 
 Lab::Lab(const sim::MachineConfig &config, sim::Cycle warmup,
          sim::Cycle measure)
     : machine_(config), suite_(rulers::defaultSuite(config)),
-      characterizer_(machine_, suite_, warmup, measure),
       warmup_(warmup), measure_(measure)
 {
-    soloIpcCache_.instrument("lab.cache.solo_ipc");
-    soloCounterCache_.instrument("lab.cache.solo_counters");
-    pmuCache_.instrument("lab.cache.pmu");
-    characterizationCache_.instrument("lab.cache.characterization");
-    pairCache_.instrument("lab.cache.pair");
-    multiCache_.instrument("lab.cache.multi");
-    portCache_.instrument("lab.cache.ports");
+    // In Kind order.
+    static constexpr const char *kMetric[] = {
+        "lab.cache.solo_ipc", "lab.cache.solo_counters",
+        "lab.cache.characterization", "lab.cache.pair", "lab.cache.multi",
+        "lab.cache.ports", "characterizer.cache.baseline"};
+    static_assert(std::size(kMetric) ==
+                  static_cast<std::size_t>(Kind::kCount));
+    for (std::size_t k = 0; k < counters_.size(); ++k)
+        counters_[k].instrument(kMetric[k]);
 }
 
 int
@@ -123,25 +169,32 @@ Lab::measureTrials(
     return out;
 }
 
-std::string
-Lab::pairKey(const std::string &a, const std::string &b,
-             CoLocationMode mode) const
-{
-    return a + "|" + b + "|" + modeName(mode);
-}
-
 double
 Lab::soloIpc(const workload::WorkloadProfile &profile, int threads)
 {
-    const std::string key =
-        profile.name + "#" + std::to_string(threads);
-    return soloIpcCache_.getOrCompute(key, [&] {
+    return soloIpc(profile, workload::streamDigest(profile), threads);
+}
+
+double
+Lab::soloIpc(const workload::WorkloadProfile &profile,
+             std::uint64_t digest, int threads)
+{
+    if (threads < 1 || threads > machine_.config().numCores)
+        throw std::invalid_argument("bad thread count");
+    const Key store_key{Kind::kSoloIpc, digest, 0, {}, threads};
+    return lookup<double>(store_key, [&] {
+        const std::string key =
+            profile.name + "#" + std::to_string(threads);
         obs::Span span("lab.solo_ipc", key);
         const std::vector<double> vals =
             measureTrials(key, [&](const std::string &tkey) {
                 fault::maybeThrow("lab.measure", tkey);
+                std::vector<workload::ProfileUopSource> sources;
+                const auto counters =
+                    machine_.run(placeApp(profile, threads, sources),
+                                 warmup_, measure_);
                 return std::vector<double>{
-                    characterizer_.soloIpc(profile, threads)};
+                    aggregateIpc(counters, 0, counters.size())};
             });
         return vals[0];
     });
@@ -150,7 +203,9 @@ Lab::soloIpc(const workload::WorkloadProfile &profile, int threads)
 const sim::CounterBlock &
 Lab::soloCounters(const workload::WorkloadProfile &profile)
 {
-    return soloCounterCache_.getOrCompute(profile.name, [&] {
+    const Key store_key{Kind::kSoloCounters,
+                        workload::streamDigest(profile)};
+    return lookup<sim::CounterBlock>(store_key, [&] {
         obs::Span span("lab.solo_counters", profile.name);
         return withRetry(profile.name, [&](const std::string &tkey) {
             fault::maybeThrow("lab.measure", tkey);
@@ -163,10 +218,25 @@ Lab::soloCounters(const workload::WorkloadProfile &profile)
 PmuProfile
 Lab::pmuProfile(const workload::WorkloadProfile &profile)
 {
-    return pmuCache_.getOrCompute(profile.name, [&] {
-        obs::Span span("lab.pmu_profile", profile.name);
-        // Retry lives in soloCounters(); this lambda only derives.
-        return soloCounters(profile).pmuRates();
+    return soloCounters(profile).pmuRates();
+}
+
+double
+Lab::rulerBaseline(std::size_t d, CoLocationMode mode, int threads)
+{
+    const Key store_key{Kind::kRulerBaseline, d, 0, mode, threads};
+    return lookup<double>(store_key, [&] {
+        const rulers::Ruler &ruler = suite_[d];
+        obs::Span span("characterizer.baseline", ruler.name());
+        std::vector<std::unique_ptr<sim::UopSource>> sources;
+        std::vector<sim::Placement> placements;
+        for (int t = 0; t < threads; ++t) {
+            sources.push_back(ruler.makeSource());
+            placements.push_back(
+                coRunnerSlot(mode, threads, t, sources.back().get()));
+        }
+        const auto counters = machine_.run(placements, warmup_, measure_);
+        return aggregateIpc(counters, 0, counters.size());
     });
 }
 
@@ -174,13 +244,64 @@ const Characterization &
 Lab::characterization(const workload::WorkloadProfile &profile,
                       CoLocationMode mode, int threads)
 {
-    const std::string key = profile.name + "#" + modeName(mode) + "#" +
-                            std::to_string(threads);
-    return characterizationCache_.getOrCompute(key, [&] {
+    const int cores = machine_.config().numCores;
+    if (threads < 1)
+        throw std::invalid_argument("bad thread count");
+    if (mode == CoLocationMode::kSmt && threads > cores)
+        throw std::invalid_argument("too many threads for SMT mode");
+    if (mode == CoLocationMode::kCmp && 2 * threads > cores)
+        throw std::invalid_argument("too many threads for CMP mode");
+
+    const std::uint64_t digest = workload::streamDigest(profile);
+    const Key store_key{Kind::kCharacterization, digest, 0, mode,
+                        threads};
+    return lookup<Characterization>(store_key, [&] {
+        const std::string key = profile.name + "#" + modeName(mode) +
+                                "#" + std::to_string(threads);
         obs::Span span("lab.characterize", key);
+        // The solo reference has its own retry/trial protocol; hoist
+        // it so a characterization failure never double-counts a
+        // solo failure.
+        const double app_solo = soloIpc(profile, digest, threads);
         return withRetry(key, [&](const std::string &tkey) {
             fault::maybeThrow("lab.measure", tkey);
-            return characterizer_.characterize(profile, mode, threads);
+            obs::Span driver_span("characterizer.characterize",
+                                  profile.name + "#" + modeName(mode));
+            Characterization result;
+            for (std::size_t d = 0; d < suite_.size(); ++d) {
+                const rulers::Ruler &ruler = suite_[d];
+                obs::Span dimension_span("characterizer.dimension",
+                                         ruler.name());
+                const double ruler_solo =
+                    rulerBaseline(d, mode, threads);
+
+                // Co-location: app threads + ruler instances in the
+                // slots their baseline ran in.
+                std::vector<workload::ProfileUopSource> app_sources;
+                std::vector<sim::Placement> placements =
+                    placeApp(profile, threads, app_sources);
+                std::vector<std::unique_ptr<sim::UopSource>> co_rulers;
+                for (int t = 0; t < threads; ++t) {
+                    co_rulers.push_back(ruler.makeSource());
+                    placements.push_back(coRunnerSlot(
+                        mode, threads, t, co_rulers.back().get()));
+                }
+                const auto counters =
+                    machine_.run(placements, warmup_, measure_);
+                const double app_co = aggregateIpc(counters, 0, threads);
+                const double ruler_co =
+                    aggregateIpc(counters, threads, counters.size());
+
+                // Equations 1 and 2.
+                result.sensitivity[d] =
+                    app_solo > 0.0 ? (app_solo - app_co) / app_solo
+                                   : 0.0;
+                result.contentiousness[d] =
+                    ruler_solo > 0.0
+                        ? (ruler_solo - ruler_co) / ruler_solo
+                        : 0.0;
+            }
+            return result;
         });
     });
 }
@@ -190,28 +311,32 @@ Lab::pairDegradation(const workload::WorkloadProfile &victim,
                      const workload::WorkloadProfile &aggressor,
                      CoLocationMode mode)
 {
-    const std::string key = pairKey(victim.name, aggressor.name, mode);
-    if (const auto *hit = pairCache_.peek(key))
-        return hit->first;
-
-    // Simulate with the name-ordered workload in the first placement
-    // slot so the run — and thus the measurement — is the same
-    // whichever direction is asked first, serially or in parallel.
-    const bool ordered = victim.name <= aggressor.name;
+    // Store and simulate only the canonical direction: the
+    // name-ordered workload (digest-ordered on a name tie) in the
+    // first placement slot, so the run — and thus the measurement —
+    // is the same whichever direction is asked first, serially or in
+    // parallel.
+    const std::uint64_t victim_digest = workload::streamDigest(victim);
+    const std::uint64_t aggressor_digest =
+        workload::streamDigest(aggressor);
+    const bool ordered = std::tie(victim.name, victim_digest) <=
+                         std::tie(aggressor.name, aggressor_digest);
     const workload::WorkloadProfile &first =
         ordered ? victim : aggressor;
     const workload::WorkloadProfile &second =
         ordered ? aggressor : victim;
-    const std::string canonical =
-        pairKey(first.name, second.name, mode);
-
-    const auto &degs = pairCache_.getOrCompute(canonical, [&] {
+    const Key store_key{Kind::kPair,
+                        ordered ? victim_digest : aggressor_digest,
+                        ordered ? aggressor_digest : victim_digest, mode};
+    const auto &degs = lookup<std::pair<double, double>>(store_key, [&] {
+        const std::string canonical =
+            first.name + "|" + second.name + "|" + modeName(mode);
         obs::Span span("lab.pair", canonical);
         // The solo references have their own retry/trial protocol;
         // hoist them so a pair-trial failure never double-counts a
         // solo failure.
-        const double solo_a = soloIpc(first);
-        const double solo_b = soloIpc(second);
+        const double solo_a = soloIpc(first, store_key.a, 1);
+        const double solo_b = soloIpc(second, store_key.b, 1);
         const std::vector<double> deg =
             measureTrials(canonical, [&](const std::string &tkey) {
                 fault::maybeThrow("lab.measure", tkey);
@@ -233,8 +358,6 @@ Lab::pairDegradation(const workload::WorkloadProfile &victim,
             });
         return std::make_pair(deg[0], deg[1]);
     });
-    pairCache_.put(pairKey(second.name, first.name, mode),
-                   {degs.second, degs.first});
     return ordered ? degs.first : degs.second;
 }
 
@@ -243,8 +366,12 @@ Lab::pairPortUtilization(const workload::WorkloadProfile &a,
                          const workload::WorkloadProfile &b,
                          CoLocationMode mode)
 {
-    const std::string key = "ports|" + pairKey(a.name, b.name, mode);
-    return portCache_.getOrCompute(key, [&] {
+    const Key store_key{Kind::kPorts, workload::streamDigest(a),
+                        workload::streamDigest(b), mode};
+    using Utilization = std::array<double, sim::kNumPorts>;
+    return lookup<Utilization>(store_key, [&] {
+        const std::string key =
+            "ports|" + a.name + "|" + b.name + "|" + modeName(mode);
         obs::Span span("lab.ports", key);
         const std::vector<double> vals =
             measureTrials(key, [&](const std::string &tkey) {
@@ -264,7 +391,7 @@ Lab::pairPortUtilization(const workload::WorkloadProfile &a,
                 return u;
             });
 
-        std::array<double, sim::kNumPorts> utilization{};
+        Utilization utilization{};
         std::copy(vals.begin(), vals.end(), utilization.begin());
         return utilization;
     });
@@ -284,46 +411,36 @@ Lab::multiInstanceDegradation(const workload::WorkloadProfile &latency,
     if (mode == CoLocationMode::kCmp && threads + instances > cores)
         throw std::invalid_argument("too many placements for CMP");
 
-    const std::string key = latency.name + "#" + batch.name + "#" +
-                            modeName(mode) + "#" +
-                            std::to_string(threads) + "x" +
-                            std::to_string(instances);
-    return multiCache_.getOrCompute(key, [&] {
+    const std::uint64_t latency_digest = workload::streamDigest(latency);
+    const Key store_key{Kind::kMulti, latency_digest,
+                        workload::streamDigest(batch), mode, threads,
+                        instances};
+    return lookup<double>(store_key, [&] {
+        const std::string key = latency.name + "#" + batch.name + "#" +
+                                modeName(mode) + "#" +
+                                std::to_string(threads) + "x" +
+                                std::to_string(instances);
         obs::Span span("lab.multi", key);
-        const double solo = soloIpc(latency, threads);
+        const double solo = soloIpc(latency, latency_digest, threads);
         const std::vector<double> vals =
             measureTrials(key, [&](const std::string &tkey) {
                 fault::maybeThrow("lab.measure", tkey);
-                // Latency app: context 0 of cores 0..threads-1.
+                // Latency app on context 0 of its cores; batch
+                // instances in the co-runner slots.
                 std::vector<workload::ProfileUopSource> app_sources;
-                app_sources.reserve(threads);
-                for (int t = 0; t < threads; ++t)
-                    app_sources.emplace_back(latency, /*seed=*/1 + t);
-                std::vector<sim::Placement> placements;
-                for (int t = 0; t < threads; ++t)
-                    placements.push_back(
-                        sim::Placement{t, 0, &app_sources[t]});
-
-                // Batch instances: sibling contexts (SMT) or the
-                // idle cores (CMP).
+                std::vector<sim::Placement> placements =
+                    placeApp(latency, threads, app_sources);
                 std::vector<workload::ProfileUopSource> batch_sources;
                 batch_sources.reserve(instances);
                 for (int k = 0; k < instances; ++k)
                     batch_sources.emplace_back(batch, /*seed=*/100 + k);
-                for (int k = 0; k < instances; ++k) {
-                    if (mode == CoLocationMode::kSmt)
-                        placements.push_back(
-                            sim::Placement{k, 1, &batch_sources[k]});
-                    else
-                        placements.push_back(sim::Placement{
-                            threads + k, 0, &batch_sources[k]});
-                }
+                for (int k = 0; k < instances; ++k)
+                    placements.push_back(coRunnerSlot(
+                        mode, threads, k, &batch_sources[k]));
 
                 const auto counters =
                     machine_.run(placements, warmup_, measure_);
-                double co_ipc = 0.0;
-                for (int t = 0; t < threads; ++t)
-                    co_ipc += counters[t].ipc();
+                const double co_ipc = aggregateIpc(counters, 0, threads);
                 return std::vector<double>{
                     solo > 0.0 ? (solo - co_ipc) / solo : 0.0};
             });
@@ -361,9 +478,7 @@ Lab::characterizeAll(const std::vector<workload::WorkloadProfile> &profiles,
     // dimension 0's baseline at once.
     parallelFor(
         suite_.size(),
-        [&](std::size_t d) {
-            characterizer_.rulerBaseline(d, mode, threads);
-        },
+        [&](std::size_t d) { rulerBaseline(d, mode, threads); },
         workers);
     std::vector<Characterization> results(profiles.size());
     parallelFor(
@@ -520,15 +635,18 @@ Lab::scaleToInstances(double pair_prediction, int instances, int threads)
 Lab::Stats
 Lab::stats() const
 {
+    const auto computes = [&](Kind kind) -> std::uint64_t {
+        return counters_[static_cast<std::size_t>(kind)].computes.load(
+            std::memory_order_relaxed);
+    };
     Stats s;
-    s.solo_ipc = soloIpcCache_.computeCount();
-    s.solo_counters = soloCounterCache_.computeCount();
-    s.pmu = pmuCache_.computeCount();
-    s.characterizations = characterizationCache_.computeCount();
-    s.pairs = pairCache_.computeCount();
-    s.multi = multiCache_.computeCount();
-    s.ports = portCache_.computeCount();
-    s.ruler_baselines = characterizer_.baselineComputeCount();
+    s.solo_ipc = computes(Kind::kSoloIpc);
+    s.solo_counters = computes(Kind::kSoloCounters);
+    s.characterizations = computes(Kind::kCharacterization);
+    s.pairs = computes(Kind::kPair);
+    s.multi = computes(Kind::kMulti);
+    s.ports = computes(Kind::kPorts);
+    s.ruler_baselines = computes(Kind::kRulerBaseline);
     return s;
 }
 

@@ -6,15 +6,17 @@
  * many-instance co-location degradations. The predictors train on
  * corpora built from these measurements (core/predictor.h).
  *
- * Measurements are cached in memory by (workload, mode, shape), so
+ * Measurements are cached in memory in one store keyed by kind, the
+ * stream digest of each profile involved (workload::streamDigest: a
+ * same-name copy with other parameters is another key) and shape, so
  * harnesses that revisit the same co-locations (e.g. a figure sweep)
- * derive each quantity once. Nothing here is persisted: every
- * measurement is a pure function of machine runs, and runs are
- * memoized — and, with sim::openReplayLog(), persisted across
- * processes — by the content-addressed replay store (sim/replay.h).
+ * derive each quantity once. Nothing here is persisted: every measurement is a pure
+ * function of machine runs, and runs are memoized — and, with
+ * sim::openReplayLog(), persisted across processes — by the
+ * content-addressed replay store (sim/replay.h).
  *
- * The Lab is safe to call from many threads at once: every cache is
- * a single-flight MemoCache (two threads never simulate the same key
+ * The Lab is safe to call from many threads at once: the store is a
+ * single-flight MemoCache (two threads never simulate the same key
  * twice) and the underlying sim::Machine builds all microarchitectural
  * state fresh inside each const run() call, so concurrent runs never
  * alias. The characterizeAll / measureAllPairs / soloIpcAll /
@@ -41,15 +43,18 @@
 #define SMITE_CORE_EXPERIMENT_H
 
 #include <array>
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/characterize.h"
 #include "core/memo_cache.h"
 #include "fault/fault.h"
+#include "rulers/ruler.h"
 #include "sim/machine.h"
 #include "workload/profile.h"
 
@@ -70,20 +75,13 @@ class Lab
                  sim::Cycle warmup = sim::kDefaultWarmupCycles,
                  sim::Cycle measure = sim::kDefaultMeasureCycles);
 
-    // The characterizer holds a reference to machine_ and the caches
-    // hold synchronization primitives; the Lab stays where it was
-    // built.
+    // The store holds synchronization primitives and hands out
+    // references into itself; the Lab stays where it was built.
     Lab(const Lab &) = delete;
     Lab &operator=(const Lab &) = delete;
 
     /** The machine under test. */
     const sim::Machine &machine() const { return machine_; }
-
-    /** The default Ruler suite for this machine. */
-    const std::vector<rulers::Ruler> &rulerSuite() const { return suite_; }
-
-    /** The characterization driver. */
-    const Characterizer &characterizer() const { return characterizer_; }
 
     /**
      * Worker threads for the batch APIs: 0 (default) means the
@@ -124,10 +122,19 @@ class Lab
     const sim::CounterBlock &
     soloCounters(const workload::WorkloadProfile &profile);
 
-    /** The 11 PMU rates of a solo run (input to the PMU model). */
+    /** The 11 PMU rates of soloCounters() (input to the PMU model). */
     PmuProfile pmuProfile(const workload::WorkloadProfile &profile);
 
-    /** Ruler characterization (cached). */
+    /**
+     * Ruler characterization (cached; Equations 1-2): @p threads
+     * application instances run next to as many instances of each
+     * dimension's Ruler (sibling contexts for SMT, the next cores for
+     * CMP), measured against soloIpc(profile, threads) and the
+     * Ruler's solo baseline.
+     *
+     * @throws std::invalid_argument on a thread count the machine
+     *         cannot place (CMP needs twice the cores)
+     */
     const Characterization &
     characterization(const workload::WorkloadProfile &profile,
                      CoLocationMode mode, int threads = 1);
@@ -135,9 +142,10 @@ class Lab
     /**
      * Measured degradation of @p victim co-located with
      * @p aggressor (Equation 7). Both directions of a pair are
-     * measured in one run (simulated with the name-ordered workload
-     * in the first placement slot, so the measurement is independent
-     * of which direction is asked first) and cached.
+     * measured in one run and stored as one entry. The run puts the
+     * name-ordered workload in the first placement slot (on equal
+     * names, the one with the smaller digest), so the measurement is
+     * independent of which direction is asked first.
      */
     double pairDegradation(const workload::WorkloadProfile &victim,
                            const workload::WorkloadProfile &aggressor,
@@ -222,21 +230,20 @@ class Lab
     static double scaleToInstances(double pair_prediction, int instances,
                                    int threads);
 
-    /** Per-cache counts of measurements actually simulated. */
+    /** Per-kind counts of measurements actually computed. */
     struct Stats {
         std::uint64_t solo_ipc = 0;
         std::uint64_t solo_counters = 0;
-        std::uint64_t pmu = 0;
         std::uint64_t characterizations = 0;
         std::uint64_t pairs = 0;
         std::uint64_t multi = 0;
         std::uint64_t ports = 0;
         std::uint64_t ruler_baselines = 0;
 
-        /** Total memo-cache misses (computations performed). */
+        /** Total store misses (computations performed). */
         std::uint64_t total() const
         {
-            return solo_ipc + solo_counters + pmu + characterizations +
+            return solo_ipc + solo_counters + characterizations +
                    pairs + multi + ports + ruler_baselines;
         }
     };
@@ -245,8 +252,66 @@ class Lab
     Stats stats() const;
 
   private:
-    std::string pairKey(const std::string &a, const std::string &b,
-                        CoLocationMode mode) const;
+    /** What a store entry measures. */
+    enum class Kind : std::uint8_t {
+        kSoloIpc,
+        kSoloCounters,
+        kCharacterization,
+        kPair,
+        kMulti,
+        kPorts,
+        kRulerBaseline,
+        kCount,
+    };
+
+    /**
+     * Store key: the kind plus everything the result depends on
+     * beyond the Lab's machine and intervals. Unused words stay 0.
+     */
+    struct Key {
+        Kind kind{};
+        std::uint64_t a = 0;  ///< (first) profile digest, or Ruler index
+        std::uint64_t b = 0;  ///< second profile digest
+        CoLocationMode mode = CoLocationMode::kSmt;
+        int threads = 0;
+        int instances = 0;
+
+        auto operator<=>(const Key &) const = default;
+    };
+
+    /**
+     * Store value; the kind fixes the alternative: a double for solo
+     * IPC, many-instance degradation and Ruler baselines, and a pair
+     * of the canonical pair's (first, second) degradations.
+     */
+    using Value = std::variant<double, sim::CounterBlock,
+                               Characterization,
+                               std::pair<double, double>,
+                               std::array<double, sim::kNumPorts>>;
+    using Store = MemoCache<Key, Value>;
+
+    /** Look @p key up, computing a @p T with @p compute on a miss. */
+    template <typename T, typename Fn>
+    const T &
+    lookup(const Key &key, Fn &&compute)
+    {
+        return std::get<T>(store_.getOrCompute(
+            key, [&]() -> Value { return compute(); },
+            counters_[static_cast<std::size_t>(key.kind)]));
+    }
+
+    /** soloIpc() of a profile whose digest the caller already has. */
+    double soloIpc(const workload::WorkloadProfile &profile,
+                   std::uint64_t digest, int threads);
+
+    /**
+     * Aggregate IPC of @p threads instances of Ruler @p d running
+     * alone in their co-location slots. Independent of the
+     * application, so characterizeAll() warms every dimension in
+     * parallel before fanning out applications.
+     */
+    double rulerBaseline(std::size_t d, CoLocationMode mode,
+                         int threads);
 
     /**
      * Handle one failed measurement attempt: count a retry and back
@@ -291,23 +356,20 @@ class Lab
             &fn);
 
     sim::Machine machine_;
-    std::vector<rulers::Ruler> suite_;
-    Characterizer characterizer_;
+    std::vector<rulers::Ruler> suite_;  ///< one Ruler per dimension
     sim::Cycle warmup_;
     sim::Cycle measure_;
     int parallelism_ = 0;
     int maxAttempts_ = 0;
     int trials_ = 0;
 
-    MemoCache<std::string, double> soloIpcCache_;
-    MemoCache<std::string, sim::CounterBlock> soloCounterCache_;
-    MemoCache<std::string, PmuProfile> pmuCache_;
-    MemoCache<std::string, Characterization> characterizationCache_;
-    /** key -> (degradation of first, degradation of second) */
-    MemoCache<std::string, std::pair<double, double>> pairCache_;
-    MemoCache<std::string, double> multiCache_;
-    MemoCache<std::string, std::array<double, sim::kNumPorts>>
-        portCache_;
+    Store store_;
+    /**
+     * Per-kind traffic, published as `lab.cache.<kind>.*` (Ruler
+     * baselines as `characterizer.cache.baseline.*`).
+     */
+    std::array<Store::Counters, static_cast<std::size_t>(Kind::kCount)>
+        counters_;
 };
 
 } // namespace smite::core

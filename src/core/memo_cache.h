@@ -4,8 +4,9 @@
  * results.
  *
  * The Lab's measurements are expensive (whole-machine simulations)
- * and keyed (workload, mode, shape), so when the batch APIs fan
- * requests across a thread pool two guarantees matter:
+ * and keyed by kind, profile digests and shape (core/experiment.h),
+ * so when the batch APIs fan requests across a thread pool two
+ * guarantees matter:
  *
  *  1. *thread safety* — concurrent lookups and inserts never race
  *     (reads take a shared lock, writes an exclusive one);
@@ -57,43 +58,62 @@ class MemoCache
 {
   public:
     /**
-     * Register this cache's traffic with the global metrics
-     * Registry under `<prefix>.hits` / `<prefix>.misses` /
-     * `<prefix>.waits` (see docs/OBSERVABILITY.md): a *hit* found a
-     * ready value on the shared-lock fast path, a *miss* elected this
-     * caller to compute, a *wait* blocked on another thread's
-     * in-flight computation of the same key (single-flight
-     * contention). Call once, before concurrent use; updates are
-     * relaxed atomic increments.
+     * One set of traffic counters. `hits`, `misses` and `waits` are
+     * the global Registry counters `<prefix>.hits` / `.misses` /
+     * `.waits` (see docs/OBSERVABILITY.md): a *hit* found a ready
+     * value, a *miss* elected the caller to compute, a *wait* blocked
+     * on another thread's in-flight computation of the same key
+     * (single-flight contention). `computes` counts compute
+     * invocations for this set alone. A cache that holds several
+     * kinds of result passes one set per kind to getOrCompute().
      */
-    void
-    instrument(const std::string &prefix)
+    struct Counters {
+        obs::Counter *hits = nullptr;  ///< null until instrument()
+        obs::Counter *misses = nullptr;
+        obs::Counter *waits = nullptr;
+        std::atomic<std::uint64_t> computes{0};
+
+        /** Bind to `<prefix>.*`; call once, before concurrent use. */
+        void
+        instrument(const std::string &prefix)
+        {
+            obs::Registry &registry = obs::Registry::global();
+            hits = &registry.counter(prefix + ".hits");
+            misses = &registry.counter(prefix + ".misses");
+            waits = &registry.counter(prefix + ".waits");
+        }
+    };
+
+    /** Publish the cache's own counter set under `<prefix>.*`. */
+    void instrument(const std::string &prefix) { own_.instrument(prefix); }
+
+    /** getOrCompute() against the cache's own counter set. */
+    template <typename Fn>
+    const Value &
+    getOrCompute(const Key &key, Fn &&compute)
     {
-        obs::Registry &registry = obs::Registry::global();
-        hits_ = &registry.counter(prefix + ".hits");
-        misses_ = &registry.counter(prefix + ".misses");
-        waits_ = &registry.counter(prefix + ".waits");
+        return getOrCompute(key, std::forward<Fn>(compute), own_);
     }
 
     /**
      * Return the cached value for @p key, computing it with
-     * @p compute on a miss. Concurrent callers of the same key
-     * block until the one elected computer finishes (single-flight).
-     * If the computer throws, all of them — computer and waiters —
-     * see the exception and the key is left absent, so the next call
-     * retries. The returned reference is stable for the cache's
-     * lifetime.
+     * @p compute on a miss, and count the traffic in @p counters.
+     * Concurrent callers of the same key block until the one elected
+     * computer finishes (single-flight). If the computer throws, all
+     * of them — computer and waiters — see the exception and the key
+     * is left absent, so the next call retries. The returned
+     * reference is stable for the cache's lifetime.
      */
     template <typename Fn>
     const Value &
-    getOrCompute(const Key &key, Fn &&compute)
+    getOrCompute(const Key &key, Fn &&compute, Counters &counters)
     {
         {
             std::shared_lock<std::shared_mutex> read(mu_);
             const auto it = slots_.find(key);
             if (it != slots_.end() && it->second->ready) {
-                if (hits_)
-                    hits_->add();
+                if (counters.hits)
+                    counters.hits->add();
                 return it->second->value;
             }
         }
@@ -105,10 +125,10 @@ class MemoCache
             // flight erases its map entry before we wake.
             const std::shared_ptr<Slot> slot = it->second;
             if (slot->ready) {
-                if (hits_)
-                    hits_->add();
-            } else if (waits_) {
-                waits_->add();
+                if (counters.hits)
+                    counters.hits->add();
+            } else if (counters.waits) {
+                counters.waits->add();
             }
             cv_.wait(write, [&] { return slot->ready; });
             if (slot->error)
@@ -117,12 +137,12 @@ class MemoCache
         }
         it->second = std::make_shared<Slot>();
         const std::shared_ptr<Slot> slot = it->second;
-        if (misses_)
-            misses_->add();
+        if (counters.misses)
+            counters.misses->add();
         // We own the computation; run it unlocked so other keys
         // proceed and nested lookups cannot deadlock.
         write.unlock();
-        computes_.fetch_add(1, std::memory_order_relaxed);
+        counters.computes.fetch_add(1, std::memory_order_relaxed);
         Value value{};
         std::exception_ptr error;
         try {
@@ -147,8 +167,7 @@ class MemoCache
 
     /**
      * Insert a ready value if the key is absent (e.g. preloading from
-     * the replay log, or publishing the mirror direction of a pair
-     * measurement). Existing entries — ready or in flight — win.
+     * the replay log). Existing entries — ready or in flight — win.
      */
     void
     put(const Key &key, Value value)
@@ -170,16 +189,19 @@ class MemoCache
         const auto it = slots_.find(key);
         if (it == slots_.end() || !it->second->ready)
             return nullptr;
-        if (hits_)
-            hits_->add();
+        if (own_.hits)
+            own_.hits->add();
         return &it->second->value;
     }
 
-    /** Number of compute invocations (misses actually attempted). */
+    /**
+     * Compute invocations (misses actually attempted) counted
+     * against the cache's own counter set.
+     */
     std::uint64_t
     computeCount() const
     {
-        return computes_.load(std::memory_order_relaxed);
+        return own_.computes.load(std::memory_order_relaxed);
     }
 
     /** Number of entries (ready or in flight). */
@@ -200,10 +222,7 @@ class MemoCache
     mutable std::shared_mutex mu_;
     std::condition_variable_any cv_;
     std::map<Key, std::shared_ptr<Slot>> slots_;
-    std::atomic<std::uint64_t> computes_{0};
-    obs::Counter *hits_ = nullptr;    ///< null until instrument()
-    obs::Counter *misses_ = nullptr;
-    obs::Counter *waits_ = nullptr;
+    Counters own_;
 };
 
 } // namespace smite::core

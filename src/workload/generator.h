@@ -18,6 +18,17 @@
 namespace smite::workload {
 
 /**
+ * Replay identity of the stream a ProfileUopSource built from
+ * (@p profile, @p seed) emits: a digest of every profile field plus
+ * the seed. The generator is a pure function of both, so equal
+ * digests imply identical streams. sim/replay.h keys runs on it and
+ * core::Lab keys its measurements on it, so its bytes must stay
+ * stable across builds (see sim/digest.h).
+ */
+std::uint64_t streamDigest(const WorkloadProfile &profile,
+                           std::uint64_t seed = 1);
+
+/**
  * Uop stream generator driven by a WorkloadProfile.
  *
  * Determinism: two generators built from the same profile and seed
@@ -87,10 +98,8 @@ class ProfileUopSource final : public sim::UopSource
     const WorkloadProfile &profile() const { return profile_; }
 
     /**
-     * Replay identity: a digest of every profile field plus the seed.
-     * The generator is a pure function of (profile, seed) — reset()
-     * rewinds exactly — so equal digests imply identical streams,
-     * which is what sim/replay.h keys runs on.
+     * Replay identity: workload::streamDigest(profile, seed). reset()
+     * rewinds exactly, so the stream stays a pure function of both.
      */
     std::uint64_t streamDigest() const override;
 

@@ -8,6 +8,8 @@
  * are stated.
  */
 
+#include <array>
+
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
@@ -102,16 +104,16 @@ TEST(Characterize, CachedCharacterizationIsStable)
 
 TEST(Characterize, RejectsBadThreadCounts)
 {
-    const Characterizer &chr = lab().characterizer();
     const auto &profile = workload::spec2006::byName("401.bzip2");
-    EXPECT_THROW(chr.characterize(profile, CoLocationMode::kSmt, 0),
+    EXPECT_THROW(lab().characterization(profile, CoLocationMode::kSmt, 0),
                  std::invalid_argument);
-    EXPECT_THROW(chr.characterize(profile, CoLocationMode::kSmt, 99),
-                 std::invalid_argument);
+    EXPECT_THROW(
+        lab().characterization(profile, CoLocationMode::kSmt, 99),
+        std::invalid_argument);
     // CMP needs twice the cores.
     const int cores = lab().machine().config().numCores;
     EXPECT_THROW(
-        chr.characterize(profile, CoLocationMode::kCmp, cores),
+        lab().characterization(profile, CoLocationMode::kCmp, cores),
         std::invalid_argument);
 }
 
@@ -124,6 +126,80 @@ TEST(Lab, PairDegradationSymmetricCaching)
     // Both directions were filled by one run; re-query is consistent.
     EXPECT_EQ(d1, lab().pairDegradation(a, b, CoLocationMode::kSmt));
     EXPECT_EQ(d2, lab().pairDegradation(b, a, CoLocationMode::kSmt));
+}
+
+/** Everything a Lab measures about @p p (paired with @p other). */
+struct Measured {
+    double solo_ipc;
+    sim::CounterBlock solo_counters;
+    Characterization characterization;
+    double victim_deg;
+    double aggressor_deg;
+    double multi;
+    std::array<double, sim::kNumPorts> ports;
+};
+
+Measured
+measureAll(Lab &lab, const workload::WorkloadProfile &p,
+           const workload::WorkloadProfile &other)
+{
+    const auto mode = CoLocationMode::kSmt;
+    return Measured{lab.soloIpc(p),
+                    lab.soloCounters(p),
+                    lab.characterization(p, mode),
+                    lab.pairDegradation(p, other, mode),
+                    lab.pairDegradation(other, p, mode),
+                    lab.multiInstanceDegradation(p, 2, other, 1, mode),
+                    lab.pairPortUtilization(p, other, mode)};
+}
+
+void
+expectSame(const Measured &got, const Measured &want)
+{
+    EXPECT_EQ(got.solo_ipc, want.solo_ipc);
+    EXPECT_EQ(got.solo_counters.cycles, want.solo_counters.cycles);
+    EXPECT_EQ(got.solo_counters.uops, want.solo_counters.uops);
+    EXPECT_EQ(got.solo_counters.pmuRates(), want.solo_counters.pmuRates());
+    EXPECT_EQ(got.characterization.sensitivity,
+              want.characterization.sensitivity);
+    EXPECT_EQ(got.characterization.contentiousness,
+              want.characterization.contentiousness);
+    EXPECT_EQ(got.victim_deg, want.victim_deg);
+    EXPECT_EQ(got.aggressor_deg, want.aggressor_deg);
+    EXPECT_EQ(got.multi, want.multi);
+    EXPECT_EQ(got.ports, want.ports);
+}
+
+TEST(Lab, SameNameCopyIsMeasuredNotServedFromTheOriginal)
+{
+    // Results are keyed by what a profile is, not what it is called:
+    // once a Lab has measured 429.mcf, a same-name copy with another
+    // footprint and locality must measure what a fresh Lab measures.
+    constexpr sim::Cycle kWarmup = 2000, kMeasure = 8000;
+    const auto &original = workload::spec2006::byName("429.mcf");
+    workload::WorkloadProfile copy = original;
+    copy.dataFootprint = 8ull << 20;
+    copy.hotBytes = 24ull << 10;
+    copy.hotProb = 0.99;
+    const auto &other = workload::spec2006::byName("453.povray");
+
+    Lab shared(sim::MachineConfig::ivyBridge(), kWarmup, kMeasure);
+    const Measured first = measureAll(shared, original, other);
+    const Measured second = measureAll(shared, copy, other);
+    Lab fresh(sim::MachineConfig::ivyBridge(), kWarmup, kMeasure);
+    expectSame(second, measureAll(fresh, copy, other));
+    EXPECT_NE(second.solo_ipc, first.solo_ipc);
+
+    // Equal names order a pair by digest, so both directions still
+    // come from one run whichever is asked first.
+    const auto mode = CoLocationMode::kSmt;
+    Lab backward(sim::MachineConfig::ivyBridge(), kWarmup, kMeasure);
+    const double copy_deg = backward.pairDegradation(copy, original, mode);
+    EXPECT_EQ(shared.pairDegradation(original, copy, mode),
+              backward.pairDegradation(original, copy, mode));
+    EXPECT_EQ(shared.pairDegradation(copy, original, mode), copy_deg);
+    // original/povray, copy/povray and original/copy.
+    EXPECT_EQ(shared.stats().pairs, 3u);
 }
 
 TEST(Lab, ScaleToInstancesIsLinear)

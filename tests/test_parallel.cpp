@@ -459,6 +459,71 @@ TEST(Lab, ConcurrentCharacterizationsSimulateOnce)
               static_cast<std::uint64_t>(rulers::kNumDimensions));
 }
 
+TEST(Lab, MixedKindsShareOneStoreAndSimulateOnce)
+{
+    // Characterizations and pairs over overlapping profiles hit one
+    // store at once: nested solo lookups are shared between the two
+    // kinds, and characterizations also nest Ruler baselines.
+    const std::vector<workload::WorkloadProfile> profiles = {
+        workload::spec2006::byName("401.bzip2"),
+        workload::spec2006::byName("429.mcf"),
+        workload::spec2006::byName("453.povray")};
+    const auto mode = CoLocationMode::kSmt;
+    const std::size_t n = profiles.size();
+
+    Lab lab(sim::MachineConfig::ivyBridge(), kWarmup, kMeasure);
+    std::vector<std::vector<Characterization>> chars(8);
+    std::vector<std::vector<double>> pairs(8);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 8; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::size_t k = 0; k < n; ++k)
+                chars[t].push_back(lab.characterization(
+                    profiles[(k + t) % n], mode));
+        });
+        threads.emplace_back([&, t] {
+            for (std::size_t k = 0; k < n * n; ++k) {
+                const std::size_t i = (k / n + t) % n;
+                const std::size_t j = k % n;
+                if (i != j)
+                    pairs[t].push_back(lab.pairDegradation(
+                        profiles[i], profiles[j], mode));
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+
+    const Lab::Stats stats = lab.stats();
+    EXPECT_EQ(stats.characterizations, n);
+    EXPECT_EQ(stats.ruler_baselines,
+              static_cast<std::uint64_t>(rulers::kNumDimensions));
+    EXPECT_EQ(stats.solo_ipc, n);
+    EXPECT_EQ(stats.pairs, n * (n - 1) / 2);
+    EXPECT_EQ(stats.total(), n + rulers::kNumDimensions + n +
+                                 n * (n - 1) / 2);
+
+    Lab serial(sim::MachineConfig::ivyBridge(), kWarmup, kMeasure);
+    for (int t = 0; t < 8; ++t) {
+        for (std::size_t k = 0; k < n; ++k) {
+            const Characterization &ref =
+                serial.characterization(profiles[(k + t) % n], mode);
+            EXPECT_EQ(chars[t][k].sensitivity, ref.sensitivity);
+            EXPECT_EQ(chars[t][k].contentiousness, ref.contentiousness);
+        }
+        std::size_t got = 0;
+        for (std::size_t k = 0; k < n * n; ++k) {
+            const std::size_t i = (k / n + t) % n;
+            const std::size_t j = k % n;
+            if (i != j) {
+                EXPECT_EQ(pairs[t][got++],
+                          serial.pairDegradation(profiles[i],
+                                                 profiles[j], mode));
+            }
+        }
+    }
+}
+
 TEST(Lab, PairDirectionIndependentOfCallOrder)
 {
     // The canonical (name-ordered) simulation makes both directions

@@ -211,6 +211,14 @@ TEST(ReplayLog, PerturbedProfileIsNotServed)
     core::Lab other(MachineConfig::ivyBridge(), kWarmup, kMeasure);
     other.soloCounters(original);
     EXPECT_EQ(counter("machine.replay.misses"), misses + 1);
+
+    // One Lab: having measured the original, it must still run a
+    // same-name copy rather than serve the original's counters.
+    workload::WorkloadProfile moved = original;
+    moved.loadDepProb += 0.01;
+    other.soloCounters(moved);
+    EXPECT_EQ(counter("machine.replay.misses"), misses + 2)
+        << "the Lab served its result for the original profile";
 }
 
 TEST(ReplayLog, OtherModelVersionIsNotServed)

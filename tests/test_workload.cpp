@@ -181,6 +181,22 @@ TEST(Generator, DifferentSeedsDiffer)
     EXPECT_GT(differing, 0);
 }
 
+TEST(Generator, StreamDigestIsPinned)
+{
+    // Replay logs are keyed on this digest across builds, and the Lab
+    // keys its measurements on it: its bytes must not drift.
+    const WorkloadProfile &mcf = spec2006::byName("429.mcf");
+    EXPECT_EQ(ProfileUopSource(mcf, 1).streamDigest(),
+              0xfdc396e85da10188ull);
+    EXPECT_EQ(streamDigest(mcf), 0xfdc396e85da10188ull);
+    EXPECT_EQ(streamDigest(mcf, 2), ProfileUopSource(mcf, 2).streamDigest());
+
+    // Same name, one parameter moved: a different stream.
+    WorkloadProfile copy = mcf;
+    copy.hotProb += 0.01;
+    EXPECT_NE(streamDigest(copy), streamDigest(mcf));
+}
+
 TEST(Generator, MixFractionsApproximatelyRealized)
 {
     const auto &p = spec2006::byName("444.namd");
