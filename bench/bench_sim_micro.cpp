@@ -2,8 +2,8 @@
  * @file
  * Microbenchmark harness for the simulation substrate: machine
  * throughput (simulated cycles and uops per second, solo and SMT
- * pair), cache/TLB lookup cost, trace generation, model fitting and
- * the queueing kernel.
+ * pair), cache/TLB lookup cost, uop-stream generation and decode,
+ * model fitting and the queueing kernel.
  *
  * Unlike the figure harnesses this guards the *performance* of the
  * simulator, not its outputs. Every kernel is timed on CPU time
@@ -19,8 +19,11 @@
  * iteration — the fig-grid shape, where each measurement builds its
  * own streams — so repeated intervals hit the run-level ReplayStore
  * (sim/replay.h). The `*_nomemo` variants re-run the same shape with
- * replay and snapshots disabled, timing the full live path; the ratio
- * between the two is the replay win.
+ * replay and snapshots disabled, timing the full live simulation; the
+ * ratio between the two is the replay win. Their uop streams still
+ * come from the process-wide StreamStore (workload/generator.h), as
+ * in every harness, so after the untimed warmup they decode stored
+ * chunks instead of generating.
  *
  * The committed BENCH_sim.json at the repository root is the perf
  * baseline: `scripts/tier1.sh` re-runs this harness in Release and
@@ -36,6 +39,7 @@
 #include <cstdio>
 #include <ctime>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/common.h"
@@ -175,6 +179,9 @@ main(int argc, char **argv)
     report.setConfig("repeats", obs::json::Value(kRepeats));
     report.setConfig("replay_enabled",
                      obs::json::Value(sim::replayEnabled()));
+    report.setConfig(
+        "nproc", obs::json::Value(static_cast<int>(
+                     std::thread::hardware_concurrency())));
 
     std::printf("simulation-substrate microbenchmarks "
                 "(median of %d CPU-time repeats)\n\n",
@@ -244,24 +251,44 @@ main(int argc, char **argv)
         recordTimes(report, "tlb_access", t);
     }
 
-    // Trace generation: the synthetic-workload uop stream by itself.
+    // Uop streams by themselves (workload/generator.h), on a private
+    // store so the machine kernels' streams stay out of the way.
+    // stream_gen: a fresh seed per run, so every chunk is generated,
+    // encoded and decoded once. stream_read: one stream read from
+    // the start on every run, so the timed repeats only decode chunks
+    // the untimed warmup run stored.
     {
-        workload::ProfileUopSource source(
-            workload::spec2006::byName("403.gcc"));
+        workload::StreamStore store;
+        const workload::WorkloadProfile &gcc =
+            workload::spec2006::byName("403.gcc");
         constexpr int kUops = 1'000'000;
-        constexpr int kBatch = 64;
-        sim::Uop buf[kBatch];
-        const Times t = timeRepeats([&] {
+        const auto readAll = [&](workload::ProfileUopSource &source) {
+            constexpr int kBatch = 64;
+            sim::Uop buf[kBatch];
             std::uint64_t sum = 0;
             for (int i = 0; i < kUops / kBatch; ++i) {
                 source.nextBatch(buf, kBatch);
                 sum += buf[0].pc;
             }
             g_sink = sum;
+        };
+        std::uint64_t seed = 1000;
+        const Times gen = timeRepeats([&] {
+            workload::ProfileUopSource source(gcc, ++seed, store);
+            readAll(source);
         });
-        record(report, "trace_gen_uops_per_sec", kUops / t.median_s,
+        record(report, "stream_gen_uops_per_sec", kUops / gen.median_s,
                "uops/s");
-        recordTimes(report, "trace_gen", t);
+        recordTimes(report, "stream_gen", gen);
+
+        workload::ProfileUopSource source(gcc, 1, store);
+        const Times read = timeRepeats([&] {
+            source.reset();
+            readAll(source);
+        });
+        record(report, "stream_read_uops_per_sec", kUops / read.median_s,
+               "uops/s");
+        recordTimes(report, "stream_read", read);
     }
 
     // Model fitting: the ridge regression behind SMiTe training.

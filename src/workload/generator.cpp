@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
+#include "obs/metrics.h"
 #include "sim/digest.h"
 
 namespace smite::workload {
@@ -13,10 +16,42 @@ namespace {
 /** Average bytes of machine code per uop (drives icache pressure). */
 constexpr sim::Addr kBytesPerUop = 4;
 
+// Header word layout of the stream store's encoding.
+constexpr std::uint32_t kTypeMask = 0xf;
+constexpr int kDist1Shift = 4;
+constexpr int kDist2Shift = 10;
+constexpr std::uint32_t kDistMask = 0x3f;
+constexpr std::uint32_t kMispredictBit = 1u << 16;
+constexpr std::uint32_t kJumpBit = 1u << 17;      ///< side word: region
+constexpr std::uint32_t kStreamedBit = 1u << 18;  ///< address from cursor
+constexpr std::uint32_t kExplicitBit = 1u << 19;  ///< side word: addr / 8
+
+static_assert(sim::kNumUopTypes <= 16, "uop type needs 4 header bits");
+
+/** Metrics of every store, registered once. */
+struct StreamMetrics {
+    obs::Counter &streams;
+    obs::Counter &bytes;
+    obs::Counter &generated;
+    obs::Counter &live;
+
+    static StreamMetrics &
+    get()
+    {
+        static StreamMetrics m{
+            obs::Registry::global().counter("workload.stream.streams"),
+            obs::Registry::global().counter("workload.stream.bytes"),
+            obs::Registry::global().counter(
+                "workload.stream.generated_uops"),
+            obs::Registry::global().counter("workload.stream.live_uops")};
+        return m;
+    }
+};
+
 } // namespace
 
-ProfileUopSource::ProfileUopSource(const WorkloadProfile &profile,
-                                   std::uint64_t seed)
+UopGenerator::UopGenerator(const WorkloadProfile &profile,
+                           std::uint64_t seed)
     : profile_(profile), seed_(seed), rng_(seed)
 {
     double sum = 0.0;
@@ -24,7 +59,6 @@ ProfileUopSource::ProfileUopSource(const WorkloadProfile &profile,
         if (profile_.mix[t] < 0.0)
             throw std::invalid_argument("negative mix fraction");
         sum += profile_.mix[t];
-        cumulativeMix_[t] = sum;
         cumulativeMixThr_[t] = Rng::mantissaCeil(sum);
     }
     thrStream_ = Rng::mantissaCeil(profile_.streamFraction);
@@ -58,7 +92,11 @@ ProfileUopSource::ProfileUopSource(const WorkloadProfile &profile,
         throw std::invalid_argument(
             "loop size must be within [64B, code footprint]");
     }
-    reset();
+    // Start streaming in the middle of the footprint: for large
+    // arrays this is far beyond any functionally warmed region (a
+    // stream's first touch of a line is cold by nature), while for
+    // cache-resident footprints it stays warm, as it should.
+    streamCursor_ = (profile_.dataFootprint / 2) & ~sim::Addr{7};
 }
 
 std::uint64_t
@@ -94,63 +132,11 @@ streamDigest(const WorkloadProfile &profile, std::uint64_t seed)
     return d.value();
 }
 
-std::uint64_t
-ProfileUopSource::streamDigest() const
-{
-    return workload::streamDigest(profile_, seed_);
-}
-
-ProfileUopSource::GenState
-ProfileUopSource::saveState() const
-{
-    return GenState{rng_,       streamCursor_, regionBase_, regionOffset_,
-                    dwellLeft_, lowPhase_,     phaseLeft_};
-}
-
-void
-ProfileUopSource::restoreState(const GenState &state)
-{
-    rng_ = state.rng;
-    streamCursor_ = state.streamCursor;
-    regionBase_ = state.regionBase;
-    regionOffset_ = state.regionOffset;
-    dwellLeft_ = state.dwellLeft;
-    lowPhase_ = state.lowPhase;
-    phaseLeft_ = state.phaseLeft;
-}
-
-void
-ProfileUopSource::reset()
-{
-    if (!memo_.empty()) {
-        // Everything produced so far is on record; rewinding is a
-        // replay. When the recording is still open (generator parked
-        // at the memo end), remember that state so the replayed
-        // stream can resume live generation past it. Mid-replay or
-        // after the cap, endState_ is already the memo-end state.
-        if (!replaying_ && !memoFull_)
-            endState_ = saveState();
-        replaying_ = true;
-        replayPos_ = 0;
-        return;
-    }
-    rng_ = Rng(seed_);
-    // Start streaming in the middle of the footprint: for large
-    // arrays this is far beyond any functionally warmed region (a
-    // stream's first touch of a line is cold by nature), while for
-    // cache-resident footprints it stays warm, as it should.
-    streamCursor_ = (profile_.dataFootprint / 2) & ~sim::Addr{7};
-    regionBase_ = 0;
-    regionOffset_ = 0;
-    dwellLeft_ = 0;
-    lowPhase_ = false;
-    phaseLeft_ = 0;
-}
-
 sim::Addr
-ProfileUopSource::nextPc()
+UopGenerator::nextPc()
 {
-    if (dwellLeft_ == 0) {
+    jumped_ = dwellLeft_ == 0;
+    if (jumped_) {
         // Jump to another function/loop in the code blob and spin
         // there for a geometrically distributed number of uops.
         const std::uint64_t regions =
@@ -173,7 +159,7 @@ ProfileUopSource::nextPc()
 }
 
 sim::UopType
-ProfileUopSource::sampleType()
+UopGenerator::sampleType()
 {
     const std::uint64_t x = rng_.nextMantissa();
     for (int t = 0; t < sim::kNumUopTypes; ++t) {
@@ -184,7 +170,7 @@ ProfileUopSource::sampleType()
 }
 
 std::uint8_t
-ProfileUopSource::sampleDepDistance()
+UopGenerator::sampleDepDistance()
 {
     // Inline of rng_.nextGeometric(profile_.depMeanDist) with the
     // trial threshold precomputed at construction: same draws, same
@@ -198,9 +184,10 @@ ProfileUopSource::sampleDepDistance()
 }
 
 sim::Addr
-ProfileUopSource::nextDataAddr()
+UopGenerator::nextDataAddr()
 {
-    if (rng_.nextMantissa() < thrStream_) {
+    streamed_ = rng_.nextMantissa() < thrStream_;
+    if (streamed_) {
         // Streaming walks the footprint at element (8B) granularity,
         // so consecutive accesses mostly stay within one cache line —
         // the spatial locality real array code has. The cursor stays
@@ -218,8 +205,9 @@ ProfileUopSource::nextDataAddr()
 }
 
 sim::Uop
-ProfileUopSource::genNext()
+UopGenerator::next()
 {
+    streamed_ = false;
     // Phase modulation: in the light phase a fraction of slots carry
     // no modeled resource demand.
     if (phaseLeft_ == 0) {
@@ -273,46 +261,292 @@ ProfileUopSource::genNext()
     return uop;
 }
 
-sim::Uop
-ProfileUopSource::next()
+// --- Stream store ---------------------------------------------------
+
+struct StreamStore::Chunk {
+    /** Successor, published once with release order. */
+    mutable std::atomic<const Chunk *> next{nullptr};
+    /** Decoder state before the first uop (see UopGenerator). */
+    sim::Addr regionBase = 0;
+    sim::Addr regionOffset = 0;
+    sim::Addr streamCursor = 0;
+    /** kChunkUops encoded uops. */
+    std::vector<std::uint32_t> words;
+};
+
+class StreamStore::Stream
 {
-    if (replaying_) {
-        if (replayPos_ < memo_.size())
-            return memo_[replayPos_++];
-        replaying_ = false;
-        restoreState(endState_);
+  public:
+    Stream(const WorkloadProfile &profile, std::uint64_t seed)
+        : gen(profile, seed),
+          wide(profile.codeFootprint / profile.loopBytes >
+                   std::numeric_limits<std::uint32_t>::max() ||
+               profile.dataFootprint / 8 >
+                   std::numeric_limits<std::uint32_t>::max())
+    {}
+
+    /**
+     * Generates chunks under mu; its state is the stream's stored
+     * end. Its profile never changes and is read without the lock.
+     */
+    UopGenerator gen;
+    /** Side values take two words (low, high) instead of one. */
+    const bool wide;
+
+    std::atomic<const Chunk *> head{nullptr};
+    std::mutex mu;
+    std::vector<std::unique_ptr<Chunk>> chunks;  ///< guarded by mu
+};
+
+namespace {
+
+void
+pushSide(std::vector<std::uint32_t> &out, std::uint64_t v, bool wide)
+{
+    out.push_back(static_cast<std::uint32_t>(v));
+    if (wide)
+        out.push_back(static_cast<std::uint32_t>(v >> 32));
+}
+
+std::uint64_t
+readSide(const std::uint32_t *&w, bool wide)
+{
+    std::uint64_t v = *w++;
+    if (wide)
+        v |= std::uint64_t{*w++} << 32;
+    return v;
+}
+
+/**
+ * Generate the next kChunkUops uops of @p gen into @p chunk:
+ * its start state, then the encoded words.
+ */
+void
+fillChunk(UopGenerator &gen, bool wide, StreamStore::Chunk &chunk)
+{
+    chunk.regionBase = gen.regionBase();
+    chunk.regionOffset = gen.regionOffset();
+    chunk.streamCursor = gen.streamCursor();
+    const sim::Addr loop = gen.profile().loopBytes;
+    std::vector<std::uint32_t> &words = chunk.words;
+    words.clear();
+    words.reserve(2 * StreamStore::kChunkUops);
+    for (int i = 0; i < StreamStore::kChunkUops; ++i) {
+        const sim::Uop u = gen.next();
+        std::uint32_t h = static_cast<std::uint32_t>(u.type) |
+                          std::uint32_t{u.srcDist1} << kDist1Shift |
+                          std::uint32_t{u.srcDist2} << kDist2Shift;
+        if (u.mispredict)
+            h |= kMispredictBit;
+        const bool mem = u.type == sim::UopType::kLoad ||
+                         u.type == sim::UopType::kStore;
+        if (gen.jumped())
+            h |= kJumpBit;
+        if (gen.streamed())
+            h |= kStreamedBit;
+        else if (mem)
+            h |= kExplicitBit;
+        words.push_back(h);
+        if (gen.jumped())
+            pushSide(words, gen.regionBase() / loop, wide);
+        if (h & kExplicitBit)
+            pushSide(words, u.addr >> 3, wide);
     }
-    const sim::Uop uop = genNext();
-    if (!memoFull_) {
-        memo_.push_back(uop);
-        if (memo_.size() >= kMemoCap) {
-            endState_ = saveState();
-            memoFull_ = true;
+}
+
+} // namespace
+
+StreamStore::StreamStore(std::size_t byte_budget) : budget_(byte_budget)
+{}
+
+StreamStore::~StreamStore() = default;
+
+StreamStore &
+StreamStore::global()
+{
+    // Leaked on purpose: sources may still be read during static
+    // destruction (pool threads, late reports).
+    static StreamStore *store = new StreamStore();
+    return *store;
+}
+
+StreamStore::Stream &
+StreamStore::open(std::uint64_t digest, const WorkloadProfile &profile,
+                  std::uint64_t seed)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = streams_.find(digest);
+    if (it == streams_.end()) {
+        auto stream = std::make_unique<Stream>(profile, seed);
+        it = streams_.emplace(digest, std::move(stream)).first;
+        StreamMetrics::get().streams.add();
+    } else if (it->second->gen.seed() != seed ||
+               !(it->second->gen.profile() == profile)) {
+        throw std::logic_error("stream digest collision: " +
+                               profile.name + " vs " +
+                               it->second->gen.profile().name);
+    }
+    return *it->second;
+}
+
+const StreamStore::Chunk *
+StreamStore::extend(Stream &stream, const Chunk *after)
+{
+    std::lock_guard<std::mutex> lock(stream.mu);
+    std::atomic<const Chunk *> &link = after ? after->next : stream.head;
+    if (const Chunk *c = link.load(std::memory_order_acquire))
+        return c;  // another reader extended it first
+    // bytes_ only grows, so a spent budget stays spent and `after`
+    // stays this stream's last chunk.
+    if (bytes_.load(std::memory_order_relaxed) >= budget_)
+        return nullptr;
+
+    auto chunk = std::make_unique<Chunk>();
+    fillChunk(stream.gen, stream.wide, *chunk);
+    chunk->words.shrink_to_fit();
+    const std::size_t bytes =
+        sizeof(Chunk) + chunk->words.capacity() * sizeof(std::uint32_t);
+    bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    StreamMetrics &m = StreamMetrics::get();
+    m.bytes.add(bytes);
+    m.generated.add(kChunkUops);
+
+    const Chunk *published = chunk.get();
+    stream.chunks.push_back(std::move(chunk));
+    link.store(published, std::memory_order_release);
+    return published;
+}
+
+// --- Profile uop source ----------------------------------------------
+
+/**
+ * Generation past the stored end of a stream the budget stopped: a
+ * private copy of the stream's generator, re-filling one private
+ * chunk at a time.
+ */
+struct ProfileUopSource::LiveTail {
+    UopGenerator gen;
+    StreamStore::Chunk chunk;
+};
+
+ProfileUopSource::ProfileUopSource(const WorkloadProfile &profile,
+                                   std::uint64_t seed, StreamStore &store)
+    : digest_(workload::streamDigest(profile, seed)), store_(&store),
+      stream_(&store.open(digest_, profile, seed))
+{}
+
+ProfileUopSource::~ProfileUopSource() = default;
+ProfileUopSource::ProfileUopSource(ProfileUopSource &&) noexcept =
+    default;
+ProfileUopSource &
+ProfileUopSource::operator=(ProfileUopSource &&) noexcept = default;
+
+const WorkloadProfile &
+ProfileUopSource::profile() const
+{
+    return stream_->gen.profile();
+}
+
+void
+ProfileUopSource::reset()
+{
+    live_.reset();
+    chunk_ = nullptr;
+    word_ = nullptr;
+    left_ = 0;
+}
+
+void
+ProfileUopSource::advanceChunk()
+{
+    const StreamStore::Chunk *c = nullptr;
+    if (!live_) {
+        const std::atomic<const StreamStore::Chunk *> &link =
+            chunk_ ? chunk_->next : stream_->head;
+        c = link.load(std::memory_order_acquire);
+        if (c == nullptr)
+            c = store_->extend(*stream_, chunk_);
+        if (c == nullptr) {
+            // The budget is spent and chunk_ is the stream's last
+            // chunk: the stream's generator is parked right after it
+            // for good.
+            std::lock_guard<std::mutex> lock(stream_->mu);
+            live_.reset(new LiveTail{stream_->gen, {}});
         }
     }
-    return uop;
+    if (c != nullptr) {
+        chunk_ = c;
+    } else {
+        fillChunk(live_->gen, stream_->wide, live_->chunk);
+        StreamMetrics::get().live.add(StreamStore::kChunkUops);
+        c = &live_->chunk;
+    }
+    word_ = c->words.data();
+    left_ = StreamStore::kChunkUops;
+    regionBase_ = c->regionBase;
+    regionOffset_ = c->regionOffset;
+    streamCursor_ = c->streamCursor;
 }
 
 int
 ProfileUopSource::nextBatch(sim::Uop *out, int max)
 {
+    const sim::Addr loop = stream_->gen.profile().loopBytes;
+    const sim::Addr footprint = stream_->gen.profile().dataFootprint;
+    const bool wide = stream_->wide;
     int i = 0;
-    if (replaying_) {
-        const std::size_t left = memo_.size() - replayPos_;
-        const int n = static_cast<int>(std::min<std::size_t>(
-            static_cast<std::size_t>(max), left));
-        std::copy_n(memo_.data() + replayPos_, n, out);
-        replayPos_ += n;
-        i = n;
-        if (replayPos_ == memo_.size()) {
-            replaying_ = false;
-            restoreState(endState_);
+    while (i < max) {
+        if (left_ == 0)
+            advanceChunk();
+        const int n = std::min(max - i, left_);
+        const std::uint32_t *w = word_;
+        sim::Addr base = regionBase_;
+        sim::Addr offset = regionOffset_;
+        sim::Addr cursor = streamCursor_;
+        for (int k = 0; k < n; ++k) {
+            const std::uint32_t h = *w++;
+            sim::Uop u;
+            u.type = static_cast<sim::UopType>(h & kTypeMask);
+            u.srcDist1 =
+                static_cast<std::uint8_t>((h >> kDist1Shift) & kDistMask);
+            u.srcDist2 =
+                static_cast<std::uint8_t>((h >> kDist2Shift) & kDistMask);
+            u.mispredict = (h & kMispredictBit) != 0;
+            // The generator's nextPc() and nextDataAddr() rules.
+            if (h & kJumpBit) {
+                base = readSide(w, wide) * loop;
+                offset = 0;
+            }
+            u.pc = base + offset;
+            offset += kBytesPerUop;
+            if (offset >= loop)
+                offset -= loop;
+            if (h & kStreamedBit) {
+                cursor += 8;
+                if (cursor >= footprint)
+                    cursor -= footprint;
+                u.addr = cursor;
+            } else if (h & kExplicitBit) {
+                u.addr = readSide(w, wide) << 3;
+            }
+            out[i + k] = u;
         }
+        word_ = w;
+        regionBase_ = base;
+        regionOffset_ = offset;
+        streamCursor_ = cursor;
+        left_ -= n;
+        i += n;
     }
-    // The class is final, so these next() calls resolve statically.
-    for (; i < max; ++i)
-        out[i] = next();
     return max;
+}
+
+sim::Uop
+ProfileUopSource::next()
+{
+    sim::Uop uop;
+    nextBatch(&uop, 1);
+    return uop;
 }
 
 } // namespace smite::workload

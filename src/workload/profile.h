@@ -150,6 +150,12 @@ struct WorkloadProfile {
     bool reportsPercentile = false;
     /** @} */
 
+    /**
+     * Field-wise equality over exactly the fields
+     * workload::streamDigest hashes.
+     */
+    bool operator==(const WorkloadProfile &) const = default;
+
     /** Does this profile describe a latency-sensitive service? */
     bool isLatencySensitive() const { return serviceRate > 0.0; }
 

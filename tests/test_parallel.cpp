@@ -24,6 +24,7 @@
 #include "core/memo_cache.h"
 #include "core/parallel.h"
 #include "obs/metrics.h"
+#include "workload/generator.h"
 #include "workload/spec2006.h"
 
 namespace smite::core {
@@ -261,6 +262,89 @@ TEST(ParallelFor, SmiteThreadsEnvOverridesWidth)
     EXPECT_EQ(lab.parallelism(), 5);
     lab.setParallelism(2);
     EXPECT_EQ(lab.parallelism(), 2);
+}
+
+TEST(StreamStore, ConcurrentReadersMatchSerialAndGenerateOnce)
+{
+    // 8 threads read overlapping prefixes of the same 4 streams, each
+    // at its own lengths, batch size and stream order. Every thread
+    // must see the serial stream, and the store must generate each
+    // stream once: its longest prefix, rounded up to whole chunks.
+    constexpr int kThreads = 8;
+    constexpr int kChunk = workload::StreamStore::kChunkUops;
+    const std::vector<workload::WorkloadProfile> profiles = smallSet();
+    const int streams = static_cast<int>(profiles.size());
+    const auto length = [&](int t, int s) {
+        return (1 + (t + s) % 5) * kChunk / 2 + 13 * t;
+    };
+
+    std::vector<std::vector<sim::Uop>> serial(streams);
+    std::uint64_t expected_uops = 0;
+    for (int s = 0; s < streams; ++s) {
+        int longest = 0;
+        for (int t = 0; t < kThreads; ++t)
+            longest = std::max(longest, length(t, s));
+        workload::UopGenerator gen(profiles[s], 7);
+        for (int i = 0; i < longest; ++i)
+            serial[s].push_back(gen.next());
+        expected_uops += (longest + kChunk - 1) / kChunk * kChunk;
+    }
+
+    obs::Counter &generated = obs::Registry::global().counter(
+        "workload.stream.generated_uops");
+    const std::uint64_t before = generated.value();
+    workload::StreamStore store;
+    std::atomic<int> ready{0};
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads)
+                std::this_thread::yield();
+            const int batch = 16 + t;
+            std::vector<sim::Uop> buf(batch);
+            for (int k = 0; k < streams; ++k) {
+                const int s = t % 2 ? (t + k) % streams
+                                    : (streams - 1 - k + t) % streams;
+                workload::ProfileUopSource src(profiles[s], 7, store);
+                for (int i = 0; i < length(t, s); i += batch) {
+                    src.nextBatch(buf.data(), batch);
+                    for (int j = 0; j < batch && i + j < length(t, s);
+                         ++j) {
+                        const sim::Uop &a = buf[j];
+                        const sim::Uop &b = serial[s][i + j];
+                        if (a.type != b.type || a.srcDist1 != b.srcDist1 ||
+                            a.srcDist2 != b.srcDist2 ||
+                            a.mispredict != b.mispredict ||
+                            a.addr != b.addr || a.pc != b.pc)
+                            ++mismatches[t];
+                    }
+                }
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+    EXPECT_EQ(generated.value() - before, expected_uops);
+}
+
+TEST(StreamStore, DigestCollisionThrows)
+{
+    // A digest already held by another (profile, seed) is never
+    // served: the store checks both, not just the key.
+    workload::StreamStore store;
+    const workload::WorkloadProfile &mcf =
+        workload::spec2006::byName("429.mcf");
+    const workload::WorkloadProfile &gcc =
+        workload::spec2006::byName("403.gcc");
+    const std::uint64_t key = workload::streamDigest(mcf, 1);
+    store.open(key, mcf, 1);
+    EXPECT_THROW(store.open(key, gcc, 1), std::logic_error);
+    EXPECT_THROW(store.open(key, mcf, 2), std::logic_error);
+    EXPECT_NO_THROW(store.open(key, mcf, 1));
 }
 
 TEST(MemoCache, SingleFlightUnderContention)

@@ -4,9 +4,12 @@
  */
 
 #include <map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fault/keyed_hash.h"
+#include "obs/metrics.h"
 #include "workload/cloudsuite.h"
 #include "workload/generator.h"
 #include "workload/rng.h"
@@ -14,6 +17,40 @@
 
 namespace smite::workload {
 namespace {
+
+/** All six Uop fields equal. */
+testing::AssertionResult
+sameUop(const sim::Uop &a, const sim::Uop &b)
+{
+    if (a.type == b.type && a.srcDist1 == b.srcDist1 &&
+        a.srcDist2 == b.srcDist2 && a.mispredict == b.mispredict &&
+        a.addr == b.addr && a.pc == b.pc)
+        return testing::AssertionSuccess();
+    return testing::AssertionFailure()
+           << "type " << int(a.type) << "/" << int(b.type) << " dist1 "
+           << int(a.srcDist1) << "/" << int(b.srcDist1) << " dist2 "
+           << int(a.srcDist2) << "/" << int(b.srcDist2) << " mispredict "
+           << a.mispredict << "/" << b.mispredict << " addr " << a.addr
+           << "/" << b.addr << " pc " << a.pc << "/" << b.pc;
+}
+
+/** FNV-1a over every field of @p u, continuing from @p h. */
+std::uint64_t
+fnvUop(std::uint64_t h, const sim::Uop &u)
+{
+    const auto byte = [&](std::uint64_t v) {
+        h = fault::fnv1aStep(h, static_cast<unsigned char>(v));
+    };
+    byte(static_cast<std::uint8_t>(u.type));
+    byte(u.srcDist1);
+    byte(u.srcDist2);
+    byte(u.mispredict ? 1 : 0);
+    for (int i = 0; i < 8; ++i)
+        byte(u.addr >> (8 * i));
+    for (int i = 0; i < 8; ++i)
+        byte(u.pc >> (8 * i));
+    return h;
+}
 
 TEST(Rng, DeterministicAndNonConstant)
 {
@@ -144,14 +181,8 @@ TEST(Generator, DeterministicStream)
 {
     const auto &p = spec2006::byName("403.gcc");
     ProfileUopSource a(p, 5), b(p, 5);
-    for (int i = 0; i < 5000; ++i) {
-        const sim::Uop ua = a.next();
-        const sim::Uop ub = b.next();
-        ASSERT_EQ(ua.type, ub.type) << "uop " << i;
-        ASSERT_EQ(ua.addr, ub.addr) << "uop " << i;
-        ASSERT_EQ(ua.pc, ub.pc) << "uop " << i;
-        ASSERT_EQ(ua.mispredict, ub.mispredict) << "uop " << i;
-    }
+    for (int i = 0; i < 5000; ++i)
+        ASSERT_TRUE(sameUop(a.next(), b.next())) << "uop " << i;
 }
 
 TEST(Generator, ResetRewindsExactly)
@@ -162,11 +193,8 @@ TEST(Generator, ResetRewindsExactly)
     for (int i = 0; i < 2000; ++i)
         first.push_back(src.next());
     src.reset();
-    for (int i = 0; i < 2000; ++i) {
-        const sim::Uop u = src.next();
-        ASSERT_EQ(u.type, first[i].type) << i;
-        ASSERT_EQ(u.addr, first[i].addr) << i;
-    }
+    for (int i = 0; i < 2000; ++i)
+        ASSERT_TRUE(sameUop(src.next(), first[i])) << i;
 }
 
 TEST(Generator, DifferentSeedsDiffer)
@@ -268,6 +296,116 @@ TEST(Generator, ResidencyWeightOrdersMemoryIntensity)
     ProfileUopSource mcf(spec2006::byName("429.mcf"));
     ProfileUopSource calculix(spec2006::byName("454.calculix"));
     EXPECT_GT(mcf.residencyWeight(), 5 * calculix.residencyWeight());
+}
+
+TEST(StreamStore, PinnedPrefixDigest)
+{
+    // The first 300k uops of 429.mcf seed 1, hashed over all six
+    // fields: the value the per-source generator produced before the
+    // stream store existed.
+    ProfileUopSource src(spec2006::byName("429.mcf"), 1);
+    std::uint64_t h = fault::kFnvOffset;
+    for (int i = 0; i < 300'000; ++i)
+        h = fnvUop(h, src.next());
+    EXPECT_EQ(h, 0xc31734e8b74dd2b8ull);
+}
+
+/**
+ * Read @p n uops of @p src in batches of @p batch and check each
+ * against @p live, the same stream generated directly.
+ */
+void
+expectMatchesLive(ProfileUopSource &src, UopGenerator &live, int n,
+                  int batch)
+{
+    std::vector<sim::Uop> buf(batch);
+    for (int done = 0; done < n; done += batch) {
+        src.nextBatch(buf.data(), batch);
+        for (int k = 0; k < batch; ++k)
+            ASSERT_TRUE(sameUop(buf[k], live.next()))
+                << src.profile().name << " uop " << done + k;
+    }
+}
+
+TEST(StreamStore, ServesLiveGenerationForEveryProfile)
+{
+    std::vector<WorkloadProfile> profiles = spec2006::all();
+    for (const auto &p : cloudsuite::all())
+        profiles.push_back(p);
+    constexpr int kChunk = StreamStore::kChunkUops;
+    StreamStore store;
+    for (const auto &p : profiles) {
+        for (const std::uint64_t seed : {1, 2, 100}) {
+            SCOPED_TRACE(p.name + " seed " + std::to_string(seed));
+            // A budget the first chunk spends: the stream stores one
+            // chunk and continues live past it.
+            StreamStore tiny(1);
+            // Across three chunk boundaries, in an odd batch size.
+            ProfileUopSource src(p, seed, store);
+            UopGenerator live(p, seed);
+            expectMatchesLive(src, live, 3 * kChunk + 37, 37);
+
+            // A second reader of the now-stored stream, rewound in
+            // the middle of a chunk: reset() replays from uop 0.
+            ProfileUopSource again(p, seed, store);
+            UopGenerator first(p, seed);
+            expectMatchesLive(again, first, kChunk + kChunk / 2, 16);
+            again.reset();
+            UopGenerator rewound(p, seed);
+            expectMatchesLive(again, rewound, 3 * kChunk + 37, 37);
+
+            // Past the budget: one stored chunk, then live chunks.
+            ProfileUopSource capped(p, seed, tiny);
+            UopGenerator capped_live(p, seed);
+            expectMatchesLive(capped, capped_live, 3 * kChunk + 16, 16);
+            capped.reset();
+            UopGenerator capped_rewound(p, seed);
+            expectMatchesLive(capped, capped_rewound, 2 * kChunk, 64);
+        }
+    }
+}
+
+TEST(StreamStore, WideSideWordsRoundTrip)
+{
+    // Footprints past 32-bit side words (region index and address in
+    // 8-byte units) take the two-word encoding.
+    WorkloadProfile p = spec2006::byName("429.mcf");
+    p.dataFootprint = std::uint64_t{1} << 36;
+    p.codeFootprint = std::uint64_t{1} << 40;
+    p.loopBytes = 64;
+    p.codeDwellUops = 8.0;
+    StreamStore store;
+    ProfileUopSource src(p, 3, store);
+    UopGenerator live(p, 3);
+    expectMatchesLive(src, live, 3 * StreamStore::kChunkUops, 64);
+}
+
+TEST(StreamStore, BudgetStopsGrowthAndCountsLiveUops)
+{
+    obs::Registry &reg = obs::Registry::global();
+    const auto count = [&](const char *name) {
+        return reg.counter(name).value();
+    };
+    const std::uint64_t gen0 = count("workload.stream.generated_uops");
+    const std::uint64_t live0 = count("workload.stream.live_uops");
+    const std::uint64_t streams0 = count("workload.stream.streams");
+
+    constexpr int kChunk = StreamStore::kChunkUops;
+    StreamStore tiny(1);  // spent by the first chunk
+    const WorkloadProfile &gcc = spec2006::byName("403.gcc");
+    ProfileUopSource a(gcc, 1, tiny);
+    std::vector<sim::Uop> buf(kChunk);
+    for (int i = 0; i < 3; ++i)
+        a.nextBatch(buf.data(), kChunk);
+    // A second stream opened after the budget is spent never grows.
+    ProfileUopSource b(gcc, 2, tiny);
+    b.nextBatch(buf.data(), kChunk);
+
+    EXPECT_EQ(count("workload.stream.streams") - streams0, 2u);
+    EXPECT_EQ(count("workload.stream.generated_uops") - gen0,
+              std::uint64_t{kChunk});
+    EXPECT_EQ(count("workload.stream.live_uops") - live0,
+              std::uint64_t{3 * kChunk});
 }
 
 } // namespace
