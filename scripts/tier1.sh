@@ -15,15 +15,18 @@ cmake -B build -S .
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
-# Data-race check under TSan: the parallel engine's tests, plus its
-# hottest long-lived-pool users (the sharded scheduler and the
-# metrics registry).
+# Data-race check under TSan: the parallel engine's tests (the pool,
+# the sharded MemoCache, the Lab batch APIs), its hottest long-lived-
+# pool users (the sharded scheduler and the metrics registry), and
+# the replay log, whose concurrent appends load into the sharded
+# replay store.
 cmake -B build-tsan -S . -DSMITE_TSAN=ON
 cmake --build build-tsan -j"$JOBS" --target test_parallel test_shard \
-    test_obs
+    test_obs test_replay_log
 ./build-tsan/tests/test_parallel
 ./build-tsan/tests/test_shard
 ./build-tsan/tests/test_obs
+./build-tsan/tests/test_replay_log
 
 # Memory-safety / UB check: the whole test suite under ASan + UBSan
 # (any UBSan report is fatal, not just printed).
@@ -179,11 +182,11 @@ echo "replay byte-identity: ok"
 # tolerance is deliberately generous: machine-to-machine variance
 # passes, an accidental hot-path regression of the simulator (the
 # quantity BENCH_sim.json exists to pin) fails with the exact metric
-# that moved. Coverage spans every committed metric — solo, SMT-pair
-# and CMP-pair machine shapes (cmp_pair exercises the multi-core
-# wake list), their `*_nomemo` live-path counterparts (so a live-
-# simulator regression can't hide behind replay hits), plus the
-# cache/TLB/trace/fit kernels.
+# that moved. Coverage spans every committed metric — the cost of a
+# replayed solo, SMT-pair and CMP-pair run (`*_replay_hit_us`), the
+# live solo and SMT-pair simulation (`*_nomemo`, so a live-simulator
+# regression can't hide behind replay hits), plus the cache/TLB/
+# stream/fit/queueing kernels.
 PERF_DIR="$(mktemp -d)"
 (
     cd "$PERF_DIR"

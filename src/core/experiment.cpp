@@ -48,19 +48,34 @@ aggregateIpc(const std::vector<sim::CounterBlock> &counters,
     return sum;
 }
 
+/** workload::streamDigest (seed 1) of each profile, in order. */
+std::vector<std::uint64_t>
+digestsOf(const std::vector<workload::WorkloadProfile> &profiles)
+{
+    std::vector<std::uint64_t> digests;
+    digests.reserve(profiles.size());
+    for (const workload::WorkloadProfile &p : profiles)
+        digests.push_back(workload::streamDigest(p));
+    return digests;
+}
+
 /**
  * Placements of @p threads instances of @p profile (seeds
- * 1..threads) on context 0 of cores 0..threads-1. The sources are
- * built into @p sources, which must outlive the run.
+ * 1..threads) on context 0 of cores 0..threads-1; @p digest is the
+ * profile's seed-1 stream digest. The sources are built into
+ * @p sources, which must outlive the run.
  */
 std::vector<sim::Placement>
-placeApp(const workload::WorkloadProfile &profile, int threads,
-         std::vector<workload::ProfileUopSource> &sources)
+placeApp(const workload::WorkloadProfile &profile, std::uint64_t digest,
+         int threads, std::vector<workload::ProfileUopSource> &sources)
 {
     sources.reserve(threads);  // placements point into it
     std::vector<sim::Placement> placements;
     for (int t = 0; t < threads; ++t) {
-        sources.emplace_back(profile, /*seed=*/1 + t);
+        if (t == 0)
+            sources.emplace_back(profile, /*seed=*/1, digest);
+        else
+            sources.emplace_back(profile, /*seed=*/1 + t);
         placements.push_back(sim::Placement{t, 0, &sources.back()});
     }
     return placements;
@@ -96,6 +111,21 @@ Lab::Lab(const sim::MachineConfig &config, sim::Cycle warmup,
                   static_cast<std::size_t>(Kind::kCount));
     for (std::size_t k = 0; k < counters_.size(); ++k)
         counters_[k].instrument(kMetric[k]);
+}
+
+template <typename KeyFn, typename MeasureFn>
+void
+Lab::fanOut(std::size_t n, const KeyFn &key, const MeasureFn &measure)
+{
+    std::vector<std::size_t> missing;
+    std::vector<std::size_t> stored;
+    for (std::size_t i = 0; i < n; ++i)
+        (store_.peek(key(i)) ? stored : missing).push_back(i);
+    parallelFor(
+        missing.size(), [&](std::size_t k) { measure(missing[k]); },
+        parallelism());
+    for (const std::size_t i : stored)
+        measure(i);
 }
 
 int
@@ -191,7 +221,8 @@ Lab::soloIpc(const workload::WorkloadProfile &profile,
                 fault::maybeThrow("lab.measure", tkey);
                 std::vector<workload::ProfileUopSource> sources;
                 const auto counters =
-                    machine_.run(placeApp(profile, threads, sources),
+                    machine_.run(placeApp(profile, digest, threads,
+                                          sources),
                                  warmup_, measure_);
                 return std::vector<double>{
                     aggregateIpc(counters, 0, counters.size())};
@@ -203,13 +234,20 @@ Lab::soloIpc(const workload::WorkloadProfile &profile,
 const sim::CounterBlock &
 Lab::soloCounters(const workload::WorkloadProfile &profile)
 {
-    const Key store_key{Kind::kSoloCounters,
-                        workload::streamDigest(profile)};
+    return soloCounters(profile, workload::streamDigest(profile));
+}
+
+const sim::CounterBlock &
+Lab::soloCounters(const workload::WorkloadProfile &profile,
+                  std::uint64_t digest)
+{
+    const Key store_key{Kind::kSoloCounters, digest};
     return lookup<sim::CounterBlock>(store_key, [&] {
         obs::Span span("lab.solo_counters", profile.name);
         return withRetry(profile.name, [&](const std::string &tkey) {
             fault::maybeThrow("lab.measure", tkey);
-            workload::ProfileUopSource source(profile);
+            workload::ProfileUopSource source(profile, /*seed=*/1,
+                                              digest);
             return machine_.runSolo(source, warmup_, measure_);
         });
     });
@@ -244,6 +282,15 @@ const Characterization &
 Lab::characterization(const workload::WorkloadProfile &profile,
                       CoLocationMode mode, int threads)
 {
+    return characterization(profile, workload::streamDigest(profile),
+                            mode, threads);
+}
+
+const Characterization &
+Lab::characterization(const workload::WorkloadProfile &profile,
+                      std::uint64_t digest, CoLocationMode mode,
+                      int threads)
+{
     const int cores = machine_.config().numCores;
     if (threads < 1)
         throw std::invalid_argument("bad thread count");
@@ -252,7 +299,6 @@ Lab::characterization(const workload::WorkloadProfile &profile,
     if (mode == CoLocationMode::kCmp && 2 * threads > cores)
         throw std::invalid_argument("too many threads for CMP mode");
 
-    const std::uint64_t digest = workload::streamDigest(profile);
     const Key store_key{Kind::kCharacterization, digest, 0, mode,
                         threads};
     return lookup<Characterization>(store_key, [&] {
@@ -279,7 +325,7 @@ Lab::characterization(const workload::WorkloadProfile &profile,
                 // slots their baseline ran in.
                 std::vector<workload::ProfileUopSource> app_sources;
                 std::vector<sim::Placement> placements =
-                    placeApp(profile, threads, app_sources);
+                    placeApp(profile, digest, threads, app_sources);
                 std::vector<std::unique_ptr<sim::UopSource>> co_rulers;
                 for (int t = 0; t < threads; ++t) {
                     co_rulers.push_back(ruler.makeSource());
@@ -311,23 +357,40 @@ Lab::pairDegradation(const workload::WorkloadProfile &victim,
                      const workload::WorkloadProfile &aggressor,
                      CoLocationMode mode)
 {
+    return pairDegradation(victim, workload::streamDigest(victim),
+                           aggressor, workload::streamDigest(aggressor),
+                           mode);
+}
+
+std::pair<Lab::Key, bool>
+Lab::pairKey(const workload::WorkloadProfile &a, std::uint64_t a_digest,
+             const workload::WorkloadProfile &b, std::uint64_t b_digest,
+             CoLocationMode mode)
+{
     // Store and simulate only the canonical direction: the
     // name-ordered workload (digest-ordered on a name tie) in the
     // first placement slot, so the run — and thus the measurement —
     // is the same whichever direction is asked first, serially or in
     // parallel.
-    const std::uint64_t victim_digest = workload::streamDigest(victim);
-    const std::uint64_t aggressor_digest =
-        workload::streamDigest(aggressor);
-    const bool ordered = std::tie(victim.name, victim_digest) <=
-                         std::tie(aggressor.name, aggressor_digest);
+    const bool ordered =
+        std::tie(a.name, a_digest) <= std::tie(b.name, b_digest);
+    return {Key{Kind::kPair, ordered ? a_digest : b_digest,
+                ordered ? b_digest : a_digest, mode},
+            ordered};
+}
+
+double
+Lab::pairDegradation(const workload::WorkloadProfile &victim,
+                     std::uint64_t victim_digest,
+                     const workload::WorkloadProfile &aggressor,
+                     std::uint64_t aggressor_digest, CoLocationMode mode)
+{
+    const auto [store_key, ordered] = pairKey(
+        victim, victim_digest, aggressor, aggressor_digest, mode);
     const workload::WorkloadProfile &first =
         ordered ? victim : aggressor;
     const workload::WorkloadProfile &second =
         ordered ? aggressor : victim;
-    const Key store_key{Kind::kPair,
-                        ordered ? victim_digest : aggressor_digest,
-                        ordered ? aggressor_digest : victim_digest, mode};
     const auto &degs = lookup<std::pair<double, double>>(store_key, [&] {
         const std::string canonical =
             first.name + "|" + second.name + "|" + modeName(mode);
@@ -340,7 +403,8 @@ Lab::pairDegradation(const workload::WorkloadProfile &victim,
         const std::vector<double> deg =
             measureTrials(canonical, [&](const std::string &tkey) {
                 fault::maybeThrow("lab.measure", tkey);
-                workload::ProfileUopSource a(first, /*seed=*/1);
+                workload::ProfileUopSource a(first, /*seed=*/1,
+                                             store_key.a);
                 workload::ProfileUopSource b(second, /*seed=*/2);
                 const auto counters =
                     mode == CoLocationMode::kSmt
@@ -376,7 +440,8 @@ Lab::pairPortUtilization(const workload::WorkloadProfile &a,
         const std::vector<double> vals =
             measureTrials(key, [&](const std::string &tkey) {
                 fault::maybeThrow("lab.measure", tkey);
-                workload::ProfileUopSource sa(a, /*seed=*/1);
+                workload::ProfileUopSource sa(a, /*seed=*/1,
+                                              store_key.a);
                 workload::ProfileUopSource sb(b, /*seed=*/2);
                 const auto counters =
                     mode == CoLocationMode::kSmt
@@ -403,6 +468,18 @@ Lab::multiInstanceDegradation(const workload::WorkloadProfile &latency,
                               const workload::WorkloadProfile &batch,
                               int instances, CoLocationMode mode)
 {
+    return multiInstanceDegradation(
+        latency, workload::streamDigest(latency), threads, batch,
+        workload::streamDigest(batch), instances, mode);
+}
+
+double
+Lab::multiInstanceDegradation(const workload::WorkloadProfile &latency,
+                              std::uint64_t latency_digest, int threads,
+                              const workload::WorkloadProfile &batch,
+                              std::uint64_t batch_digest, int instances,
+                              CoLocationMode mode)
+{
     const int cores = machine_.config().numCores;
     if (threads < 1 || instances < 1 || instances > threads)
         throw std::invalid_argument("bad thread/instance counts");
@@ -411,10 +488,8 @@ Lab::multiInstanceDegradation(const workload::WorkloadProfile &latency,
     if (mode == CoLocationMode::kCmp && threads + instances > cores)
         throw std::invalid_argument("too many placements for CMP");
 
-    const std::uint64_t latency_digest = workload::streamDigest(latency);
-    const Key store_key{Kind::kMulti, latency_digest,
-                        workload::streamDigest(batch), mode, threads,
-                        instances};
+    const Key store_key{Kind::kMulti, latency_digest, batch_digest, mode,
+                        threads, instances};
     return lookup<double>(store_key, [&] {
         const std::string key = latency.name + "#" + batch.name + "#" +
                                 modeName(mode) + "#" +
@@ -429,7 +504,8 @@ Lab::multiInstanceDegradation(const workload::WorkloadProfile &latency,
                 // instances in the co-runner slots.
                 std::vector<workload::ProfileUopSource> app_sources;
                 std::vector<sim::Placement> placements =
-                    placeApp(latency, threads, app_sources);
+                    placeApp(latency, latency_digest, threads,
+                             app_sources);
                 std::vector<workload::ProfileUopSource> batch_sources;
                 batch_sources.reserve(instances);
                 for (int k = 0; k < instances; ++k)
@@ -452,19 +528,22 @@ std::vector<double>
 Lab::soloIpcAll(const std::vector<workload::WorkloadProfile> &profiles,
                 int threads)
 {
+    const std::vector<std::uint64_t> digests = digestsOf(profiles);
     std::vector<double> results(profiles.size());
-    parallelFor(
+    fanOut(
         profiles.size(),
         [&](std::size_t i) {
+            return Key{Kind::kSoloIpc, digests[i], 0, {}, threads};
+        },
+        [&](std::size_t i) {
             try {
-                results[i] = soloIpc(profiles[i], threads);
+                results[i] = soloIpc(profiles[i], digests[i], threads);
             } catch (const fault::MeasurementError &) {
                 // Retry budget spent (already logged): NaN marks the
                 // hole instead of sinking the whole batch.
                 results[i] = std::nan("");
             }
-        },
-        parallelism());
+        });
     return results;
 }
 
@@ -472,43 +551,50 @@ std::vector<Characterization>
 Lab::characterizeAll(const std::vector<workload::WorkloadProfile> &profiles,
                      CoLocationMode mode, int threads)
 {
-    const int workers = parallelism();
     // Warm the per-dimension Ruler baselines first; otherwise every
     // fanned-out characterization would single-flight-block on
     // dimension 0's baseline at once.
-    parallelFor(
+    fanOut(
         suite_.size(),
-        [&](std::size_t d) { rulerBaseline(d, mode, threads); },
-        workers);
+        [&](std::size_t d) {
+            return Key{Kind::kRulerBaseline, d, 0, mode, threads};
+        },
+        [&](std::size_t d) { rulerBaseline(d, mode, threads); });
+    const std::vector<std::uint64_t> digests = digestsOf(profiles);
     std::vector<Characterization> results(profiles.size());
-    parallelFor(
+    fanOut(
         profiles.size(),
         [&](std::size_t i) {
+            return Key{Kind::kCharacterization, digests[i], 0, mode,
+                       threads};
+        },
+        [&](std::size_t i) {
             try {
-                results[i] =
-                    characterization(profiles[i], mode, threads);
+                results[i] = characterization(profiles[i], digests[i],
+                                              mode, threads);
             } catch (const fault::MeasurementError &) {
                 results[i].valid = false;
             }
-        },
-        workers);
+        });
     return results;
 }
 
 std::vector<PmuProfile>
 Lab::pmuProfileAll(const std::vector<workload::WorkloadProfile> &profiles)
 {
+    const std::vector<std::uint64_t> digests = digestsOf(profiles);
     std::vector<PmuProfile> results(profiles.size());
-    parallelFor(
+    fanOut(
         profiles.size(),
+        [&](std::size_t i) { return Key{Kind::kSoloCounters, digests[i]}; },
         [&](std::size_t i) {
             try {
-                results[i] = pmuProfile(profiles[i]);
+                results[i] =
+                    soloCounters(profiles[i], digests[i]).pmuRates();
             } catch (const fault::MeasurementError &) {
                 results[i].fill(std::nan(""));
             }
-        },
-        parallelism());
+        });
     return results;
 }
 
@@ -517,20 +603,22 @@ Lab::measureAllPairs(const std::vector<workload::WorkloadProfile> &profiles,
                      CoLocationMode mode)
 {
     const std::size_t n = profiles.size();
-    const int workers = parallelism();
+    const std::vector<std::uint64_t> digests = digestsOf(profiles);
 
     // Solo IPCs enter every degradation; measure them first so pair
     // tasks don't serialize on the single-flight solo of a hot name.
     // A solo failure here resurfaces from the pair that needs it.
-    parallelFor(
+    fanOut(
         n,
         [&](std::size_t i) {
+            return Key{Kind::kSoloIpc, digests[i], 0, {}, 1};
+        },
+        [&](std::size_t i) {
             try {
-                soloIpc(profiles[i]);
+                soloIpc(profiles[i], digests[i], 1);
             } catch (const fault::MeasurementError &) {
             }
-        },
-        workers);
+        });
 
     // One task per unordered pair covers both directions.
     std::vector<std::pair<std::size_t, std::size_t>> tasks;
@@ -539,17 +627,23 @@ Lab::measureAllPairs(const std::vector<workload::WorkloadProfile> &profiles,
         for (std::size_t j = i + 1; j < n; ++j)
             tasks.emplace_back(i, j);
     }
-    parallelFor(
+    fanOut(
         tasks.size(),
         [&](std::size_t t) {
+            const auto [i, j] = tasks[t];
+            return pairKey(profiles[i], digests[i], profiles[j],
+                           digests[j], mode)
+                .first;
+        },
+        [&](std::size_t t) {
+            const auto [i, j] = tasks[t];
             try {
-                pairDegradation(profiles[tasks[t].first],
-                                profiles[tasks[t].second], mode);
+                pairDegradation(profiles[i], digests[i], profiles[j],
+                                digests[j], mode);
             } catch (const fault::MeasurementError &) {
                 // The assembly pass below marks the hole.
             }
-        },
-        workers);
+        });
 
     // Assemble in input order from the (now warm) cache; a pair that
     // failed past its retry budget re-fails deterministically here
@@ -562,8 +656,9 @@ Lab::measureAllPairs(const std::vector<workload::WorkloadProfile> &profiles,
                 continue;
             }
             try {
-                result[i][j] =
-                    pairDegradation(profiles[i], profiles[j], mode);
+                result[i][j] = pairDegradation(profiles[i], digests[i],
+                                               profiles[j], digests[j],
+                                               mode);
             } catch (const fault::MeasurementError &) {
                 result[i][j] = std::nan("");
             }
@@ -578,21 +673,24 @@ Lab::multiInstancePrefetch(
     const std::vector<workload::WorkloadProfile> &batch,
     int max_instances, CoLocationMode mode)
 {
-    const int workers = parallelism();
+    const std::vector<std::uint64_t> latency_digests = digestsOf(latency);
+    const std::vector<std::uint64_t> batch_digests = digestsOf(batch);
 
     // Every tuple of one latency app divides by the same solo IPC;
     // measure those first so the fanned-out tuples don't serialize on
     // the single-flight solo entry. A failure resurfaces from the
     // tuple that needs it.
-    parallelFor(
+    fanOut(
         latency.size(),
         [&](std::size_t l) {
+            return Key{Kind::kSoloIpc, latency_digests[l], 0, {}, threads};
+        },
+        [&](std::size_t l) {
             try {
-                soloIpc(latency[l], threads);
+                soloIpc(latency[l], latency_digests[l], threads);
             } catch (const fault::MeasurementError &) {
             }
-        },
-        workers);
+        });
 
     struct Tuple {
         std::size_t l;
@@ -608,19 +706,29 @@ Lab::multiInstancePrefetch(
                 tuples.push_back(Tuple{l, b, k});
         }
     }
-    parallelFor(
+    fanOut(
         tuples.size(),
         [&](std::size_t t) {
+            const Tuple &tuple = tuples[t];
+            return Key{Kind::kMulti,
+                       latency_digests[tuple.l],
+                       batch_digests[tuple.b],
+                       mode,
+                       threads,
+                       tuple.k};
+        },
+        [&](std::size_t t) {
+            const Tuple &tuple = tuples[t];
             try {
-                multiInstanceDegradation(latency[tuples[t].l], threads,
-                                         batch[tuples[t].b],
-                                         tuples[t].k, mode);
+                multiInstanceDegradation(
+                    latency[tuple.l], latency_digests[tuple.l], threads,
+                    batch[tuple.b], batch_digests[tuple.b], tuple.k,
+                    mode);
             } catch (const fault::MeasurementError &) {
                 // Retry budget spent (already logged); the caller's
                 // assembly loop sees the deterministic re-failure.
             }
-        },
-        workers);
+        });
 }
 
 double

@@ -43,7 +43,7 @@
 #define SMITE_CORE_EXPERIMENT_H
 
 #include <array>
-#include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -276,7 +276,22 @@ class Lab
         int threads = 0;
         int instances = 0;
 
-        auto operator<=>(const Key &) const = default;
+        bool operator==(const Key &) const = default;
+    };
+
+    /** Hash of a Key (the digests are already well mixed). */
+    struct KeyHash {
+        std::size_t
+        operator()(const Key &key) const noexcept
+        {
+            const std::uint64_t shape =
+                (static_cast<std::uint64_t>(key.kind) << 56) ^
+                (static_cast<std::uint64_t>(key.mode) << 48) ^
+                (static_cast<std::uint64_t>(key.threads) << 24) ^
+                static_cast<std::uint64_t>(key.instances);
+            return static_cast<std::size_t>(
+                key.a ^ (key.b * 0x9e3779b97f4a7c15ull) ^ shape);
+        }
     };
 
     /**
@@ -288,7 +303,26 @@ class Lab
                                Characterization,
                                std::pair<double, double>,
                                std::array<double, sim::kNumPorts>>;
-    using Store = MemoCache<Key, Value>;
+    using Store = MemoCache<Key, Value, KeyHash>;
+
+    /**
+     * The store key of the pair (@p a, @p b) and whether the pair is
+     * already in canonical order (see pairDegradation()).
+     */
+    static std::pair<Key, bool>
+    pairKey(const workload::WorkloadProfile &a, std::uint64_t a_digest,
+            const workload::WorkloadProfile &b, std::uint64_t b_digest,
+            CoLocationMode mode);
+
+    /**
+     * Call @p measure(i) for every i < n. Only the indices whose
+     * store entry @p key(i) is not ready yet fan out across the pool;
+     * the rest are store hits and run on the caller afterwards, so a
+     * batch of hits never wakes the pool. Each index is measured
+     * exactly once either way.
+     */
+    template <typename KeyFn, typename MeasureFn>
+    void fanOut(std::size_t n, const KeyFn &key, const MeasureFn &measure);
 
     /** Look @p key up, computing a @p T with @p compute on a miss. */
     template <typename T, typename Fn>
@@ -300,9 +334,36 @@ class Lab
             counters_[static_cast<std::size_t>(key.kind)]));
     }
 
-    /** soloIpc() of a profile whose digest the caller already has. */
+    // The measurements behind the public calls, for a caller that
+    // already holds each profile's workload::streamDigest (seed 1).
+    // The public calls and the batch APIs hash each profile once, on
+    // entry, and pass its digest down; sources built for seed 1 take
+    // it instead of hashing the profile again.
+
     double soloIpc(const workload::WorkloadProfile &profile,
                    std::uint64_t digest, int threads);
+
+    const sim::CounterBlock &
+    soloCounters(const workload::WorkloadProfile &profile,
+                 std::uint64_t digest);
+
+    const Characterization &
+    characterization(const workload::WorkloadProfile &profile,
+                     std::uint64_t digest, CoLocationMode mode,
+                     int threads);
+
+    double pairDegradation(const workload::WorkloadProfile &victim,
+                           std::uint64_t victim_digest,
+                           const workload::WorkloadProfile &aggressor,
+                           std::uint64_t aggressor_digest,
+                           CoLocationMode mode);
+
+    double
+    multiInstanceDegradation(const workload::WorkloadProfile &latency,
+                             std::uint64_t latency_digest, int threads,
+                             const workload::WorkloadProfile &batch,
+                             std::uint64_t batch_digest, int instances,
+                             CoLocationMode mode);
 
     /**
      * Aggregate IPC of @p threads instances of Ruler @p d running

@@ -8,12 +8,18 @@
  * so when the batch APIs fan requests across a thread pool two
  * guarantees matter:
  *
- *  1. *thread safety* — concurrent lookups and inserts never race
- *     (reads take a shared lock, writes an exclusive one);
+ *  1. *thread safety* — concurrent lookups and inserts never race;
  *  2. *single flight* — when several threads miss on the same key at
  *     once, exactly one runs the compute function; the others block
  *     until the value is ready and then share it. Two threads never
  *     simulate the same key twice.
+ *
+ * The cache is split into kShards shards, chosen by a mix of the
+ * key's hash. Each shard has its own mutex, condition variable and
+ * hash map, so lookups of different keys rarely touch the same lock
+ * (a memo-served campaign makes hundreds of lookups per pool batch).
+ * Every guarantee holds per key, and a key lives in one shard only,
+ * so sharding changes none of them.
  *
  * Slots are heap-allocated and shared, so the references handed out
  * stay valid for as long as any consumer holds them — the Lab's
@@ -32,31 +38,39 @@
 #ifndef SMITE_CORE_MEMO_CACHE_H
 #define SMITE_CORE_MEMO_CACHE_H
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <map>
+#include <functional>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
+#include "fault/keyed_hash.h"
 #include "obs/metrics.h"
 
 namespace smite::core {
 
 /**
- * Shared-mutex-guarded map with single-flight computation.
+ * Sharded hash map with single-flight computation.
  *
- * @tparam Key ordered key type
+ * @tparam Key equality-comparable key type
  * @tparam Value default-constructible result type
+ * @tparam Hash hash of a Key; it need not be well mixed (the shard
+ *         index is taken from fault::mix64 of it)
  */
-template <typename Key, typename Value>
+template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class MemoCache
 {
   public:
+    /** Shards per cache (a power of two). */
+    static constexpr std::size_t kShards = 16;
+
     /**
      * One set of traffic counters. `hits`, `misses` and `waits` are
      * the global Registry counters `<prefix>.hits` / `.misses` /
@@ -87,6 +101,15 @@ class MemoCache
     /** Publish the cache's own counter set under `<prefix>.*`. */
     void instrument(const std::string &prefix) { own_.instrument(prefix); }
 
+    /** The shard that holds @p key. */
+    static std::size_t
+    shardOf(const Key &key)
+    {
+        return static_cast<std::size_t>(
+                   fault::mix64(static_cast<std::uint64_t>(Hash{}(key)))) &
+               (kShards - 1);
+    }
+
     /** getOrCompute() against the cache's own counter set. */
     template <typename Fn>
     const Value &
@@ -108,29 +131,24 @@ class MemoCache
     const Value &
     getOrCompute(const Key &key, Fn &&compute, Counters &counters)
     {
-        {
-            std::shared_lock<std::shared_mutex> read(mu_);
-            const auto it = slots_.find(key);
-            if (it != slots_.end() && it->second->ready) {
+        Shard &shard = shards_[shardOf(key)];
+        std::unique_lock<std::mutex> lock(shard.mu);
+        const auto [it, inserted] = shard.slots.try_emplace(key);
+        if (!inserted) {
+            // A ready slot in the map holds a value: failed flights
+            // leave the map under the lock that marks them ready.
+            if (it->second->ready) {
                 if (counters.hits)
                     counters.hits->add();
                 return it->second->value;
             }
-        }
-        std::unique_lock<std::shared_mutex> write(mu_);
-        const auto [it, inserted] = slots_.try_emplace(key);
-        if (!inserted) {
-            // Someone else owns (or finished) this key: wait it out.
-            // Keep the slot alive independently of the map — a failed
-            // flight erases its map entry before we wake.
+            // Someone else owns this key: wait it out. Keep the slot
+            // alive independently of the map — a failed flight erases
+            // its map entry before we wake.
             const std::shared_ptr<Slot> slot = it->second;
-            if (slot->ready) {
-                if (counters.hits)
-                    counters.hits->add();
-            } else if (counters.waits) {
+            if (counters.waits)
                 counters.waits->add();
-            }
-            cv_.wait(write, [&] { return slot->ready; });
+            shard.cv.wait(lock, [&] { return slot->ready; });
             if (slot->error)
                 std::rethrow_exception(slot->error);
             return slot->value;
@@ -141,7 +159,7 @@ class MemoCache
             counters.misses->add();
         // We own the computation; run it unlocked so other keys
         // proceed and nested lookups cannot deadlock.
-        write.unlock();
+        lock.unlock();
         counters.computes.fetch_add(1, std::memory_order_relaxed);
         Value value{};
         std::exception_ptr error;
@@ -150,16 +168,16 @@ class MemoCache
         } catch (...) {
             error = std::current_exception();
         }
-        write.lock();
+        lock.lock();
         slot->value = std::move(value);
         slot->error = error;
         slot->ready = true;
         if (error) {
             // Don't memoize the failure: waiters hold the slot and
             // rethrow; the next caller finds no entry and retries.
-            slots_.erase(key);
+            shard.slots.erase(key);
         }
-        cv_.notify_all();
+        shard.cv.notify_all();
         if (error)
             std::rethrow_exception(error);
         return slot->value;
@@ -172,8 +190,9 @@ class MemoCache
     void
     put(const Key &key, Value value)
     {
-        std::unique_lock<std::shared_mutex> write(mu_);
-        const auto [it, inserted] = slots_.try_emplace(key);
+        Shard &shard = shards_[shardOf(key)];
+        std::lock_guard<std::mutex> lock(shard.mu);
+        const auto [it, inserted] = shard.slots.try_emplace(key);
         if (!inserted)
             return;
         it->second = std::make_shared<Slot>();
@@ -185,9 +204,10 @@ class MemoCache
     const Value *
     peek(const Key &key) const
     {
-        std::shared_lock<std::shared_mutex> read(mu_);
-        const auto it = slots_.find(key);
-        if (it == slots_.end() || !it->second->ready)
+        const Shard &shard = shards_[shardOf(key)];
+        std::lock_guard<std::mutex> lock(shard.mu);
+        const auto it = shard.slots.find(key);
+        if (it == shard.slots.end() || !it->second->ready)
             return nullptr;
         if (own_.hits)
             own_.hits->add();
@@ -204,12 +224,16 @@ class MemoCache
         return own_.computes.load(std::memory_order_relaxed);
     }
 
-    /** Number of entries (ready or in flight). */
+    /** Number of entries (ready or in flight) across all shards. */
     std::size_t
     size() const
     {
-        std::shared_lock<std::shared_mutex> read(mu_);
-        return slots_.size();
+        std::size_t n = 0;
+        for (const Shard &shard : shards_) {
+            std::lock_guard<std::mutex> lock(shard.mu);
+            n += shard.slots.size();
+        }
+        return n;
     }
 
   private:
@@ -219,9 +243,14 @@ class MemoCache
         bool ready = false;
     };
 
-    mutable std::shared_mutex mu_;
-    std::condition_variable_any cv_;
-    std::map<Key, std::shared_ptr<Slot>> slots_;
+    /** One lock domain; cache-line aligned so shards never share one. */
+    struct alignas(64) Shard {
+        mutable std::mutex mu;
+        std::condition_variable cv;
+        std::unordered_map<Key, std::shared_ptr<Slot>, Hash> slots;
+    };
+
+    std::array<Shard, kShards> shards_;
     Counters own_;
 };
 

@@ -292,7 +292,7 @@ Machine::runLive(const std::vector<Placement> &placements, Cycle warmup,
     if (snapshots) {
         ReplayKey skey;
         skey.reserve(2 + 2 * placements.size());
-        skey.push_back(configDigest(config_));
+        skey.push_back(configDigest_);
         skey.push_back(placements.size());
         for (size_t i = 0; i < placements.size(); ++i) {
             skey.push_back(budgets[i]);
@@ -360,7 +360,9 @@ Machine::run(const std::vector<Placement> &placements, Cycle warmup,
              Cycle measure) const
 {
     obs::Span span("machine.run",
-                   std::to_string(placements.size()) + " contexts");
+                   obs::TraceSession::global().enabled()
+                       ? std::to_string(placements.size()) + " contexts"
+                       : std::string());
     fault::FaultPlan &faults = fault::FaultPlan::global();
 
     // Replay eligibility: every placed source must carry a stream
@@ -373,7 +375,7 @@ Machine::run(const std::vector<Placement> &placements, Cycle warmup,
     ReplayKey key;
     if (memo) {
         key.reserve(4 + 3 * placements.size());
-        key.push_back(configDigest(config_));
+        key.push_back(configDigest_);
         key.push_back(warmup);
         key.push_back(measure);
         key.push_back(placements.size());

@@ -8,6 +8,7 @@
 #ifndef SMITE_SIM_MACHINE_H
 #define SMITE_SIM_MACHINE_H
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/config.h"
@@ -43,7 +44,9 @@ struct Placement {
 class Machine
 {
   public:
-    explicit Machine(const MachineConfig &config) : config_(config) {}
+    explicit Machine(const MachineConfig &config)
+        : config_(config), configDigest_(sim::configDigest(config))
+    {}
 
     /**
      * An independent machine with the same configuration. A Machine
@@ -105,6 +108,12 @@ class Machine
     const MachineConfig &config() const { return config_; }
 
     /**
+     * sim::configDigest(config()), computed once at construction:
+     * the first word of every replay and snapshot key.
+     */
+    std::uint64_t configDigest() const { return configDigest_; }
+
+    /**
      * Force the reference cycle-by-cycle tick loop instead of the
      * event-driven wake list. Slow; exists so equivalence tests can
      * compare the two execution modes on identical inputs. Both modes
@@ -126,6 +135,7 @@ class Machine
                         bool snapshots) const;
 
     MachineConfig config_;
+    std::uint64_t configDigest_;
     bool referenceTicking_ = false;
 };
 

@@ -170,10 +170,10 @@ configDigest(const MachineConfig &config)
     return d.value();
 }
 
-core::MemoCache<ReplayKey, ReplayEntry> &
+ReplayStore &
 replayStore()
 {
-    static core::MemoCache<ReplayKey, ReplayEntry> store;
+    static ReplayStore store;
     static const bool instrumented =
         (store.instrument("machine.replay"), true);
     (void)instrumented;
@@ -235,7 +235,7 @@ ReplayLog::encode(const ReplayKey &key, const ReplayEntry &entry,
 }
 
 ReplayLog::LoadStats
-ReplayLog::load(core::MemoCache<ReplayKey, ReplayEntry> &store) const
+ReplayLog::load(ReplayStore &store) const
 {
     LoadStats stats;
     std::ifstream in(path(), std::ios::binary);

@@ -39,9 +39,13 @@
 #ifndef SMITE_SIM_REPLAY_H
 #define SMITE_SIM_REPLAY_H
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -76,19 +80,34 @@ struct ReplayEntry {
 };
 
 /**
- * Replay keys are flat digest vectors (ordered, cheap to compare):
+ * Replay keys are flat digest vectors (cheap to hash and compare):
  * [config digest, warmup, measure, n, then (core, context, stream
  * digest) per placement] for runs; [config digest, n, then per-
  * placement data-line budget and code-line count] for snapshots.
  */
 using ReplayKey = std::vector<std::uint64_t>;
 
+/** Hash of a ReplayKey, for the shards and buckets of a ReplayStore. */
+struct ReplayKeyHash {
+    std::size_t
+    operator()(const ReplayKey &key) const noexcept
+    {
+        std::uint64_t h = key.size();
+        for (const std::uint64_t word : key)
+            h = (std::rotl(h, 5) ^ word) * 0x9e3779b97f4a7c15ull;
+        return static_cast<std::size_t>(h);
+    }
+};
+
+/** A single-flight store of run outcomes. */
+using ReplayStore = core::MemoCache<ReplayKey, ReplayEntry, ReplayKeyHash>;
+
 /**
  * The process-wide run-outcome store, instrumented as
  * `machine.replay.{hits,misses,waits}`. Replay hits additionally
  * count `machine.replay.bytes_restored` (see machine.cpp).
  */
-core::MemoCache<ReplayKey, ReplayEntry> &replayStore();
+ReplayStore &replayStore();
 
 /**
  * Simulator-model version, salted into every persisted replay record;
@@ -151,7 +170,7 @@ class ReplayLog
      * Put every valid current-version record of path() into @p store
      * (existing entries win). A missing file loads nothing.
      */
-    LoadStats load(core::MemoCache<ReplayKey, ReplayEntry> &store) const;
+    LoadStats load(ReplayStore &store) const;
 
     /** Append one record; no-op before open(). */
     void append(const ReplayKey &key, const ReplayEntry &entry);

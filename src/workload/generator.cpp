@@ -1,6 +1,7 @@
 #include "workload/generator.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -431,9 +432,18 @@ struct ProfileUopSource::LiveTail {
 
 ProfileUopSource::ProfileUopSource(const WorkloadProfile &profile,
                                    std::uint64_t seed, StreamStore &store)
-    : digest_(workload::streamDigest(profile, seed)), store_(&store),
-      stream_(&store.open(digest_, profile, seed))
+    : ProfileUopSource(profile, seed, workload::streamDigest(profile, seed),
+                       store)
 {}
+
+ProfileUopSource::ProfileUopSource(const WorkloadProfile &profile,
+                                   std::uint64_t seed, std::uint64_t digest,
+                                   StreamStore &store)
+    : digest_(digest), store_(&store),
+      stream_(&store.open(digest_, profile, seed))
+{
+    assert(digest == workload::streamDigest(profile, seed));
+}
 
 ProfileUopSource::~ProfileUopSource() = default;
 ProfileUopSource::ProfileUopSource(ProfileUopSource &&) noexcept =

@@ -243,6 +243,15 @@ class ProfileUopSource final : public sim::UopSource
     explicit ProfileUopSource(const WorkloadProfile &profile,
                               std::uint64_t seed = 1,
                               StreamStore &store = StreamStore::global());
+
+    /**
+     * As above, for a caller that already holds the stream's digest:
+     * @p digest must be workload::streamDigest(@p profile, @p seed)
+     * (asserted in debug builds), and the profile is not hashed again.
+     */
+    ProfileUopSource(const WorkloadProfile &profile, std::uint64_t seed,
+                     std::uint64_t digest,
+                     StreamStore &store = StreamStore::global());
     ~ProfileUopSource() override;
     ProfileUopSource(ProfileUopSource &&) noexcept;
     ProfileUopSource &operator=(ProfileUopSource &&) noexcept;

@@ -62,6 +62,18 @@ TEST(Machine, TableOneConfigs)
     EXPECT_EQ(ivy.l3.sizeBytes, 8ull * 1024 * 1024);
 }
 
+TEST(Machine, StoresItsConfigDigestAndCloneKeepsIt)
+{
+    const auto ivy = MachineConfig::ivyBridge();
+    const auto snb = MachineConfig::sandyBridgeEN();
+    for (const MachineConfig &config : {ivy, snb}) {
+        const Machine machine(config);
+        EXPECT_EQ(machine.configDigest(), configDigest(config));
+        EXPECT_EQ(machine.clone().configDigest(), configDigest(config));
+    }
+    EXPECT_NE(Machine(ivy).configDigest(), Machine(snb).configDigest());
+}
+
 TEST(Machine, SinglePortTypeSaturatesAtOneIpc)
 {
     MonoSource mul(UopType::kFpMul);

@@ -432,6 +432,153 @@ TEST(MemoCache, WaitersObserveFlightExceptionAndKeyStaysRetryable)
     EXPECT_EQ(cache.getOrCompute(1, [] { return 5; }), 5);
 }
 
+/** The first key for each shard of a MemoCache<int, int>. */
+std::vector<int>
+keyPerShard()
+{
+    using Cache = MemoCache<int, int>;
+    std::vector<int> keys(Cache::kShards, -1);
+    std::size_t found = 0;
+    for (int k = 0; found < Cache::kShards; ++k) {
+        int &slot = keys[Cache::shardOf(k)];
+        if (slot < 0) {
+            slot = k;
+            ++found;
+        }
+    }
+    return keys;
+}
+
+TEST(MemoCache, KeysCoverEveryShardAndEachStaysInOne)
+{
+    using Cache = MemoCache<int, int>;
+    const std::vector<int> keys = keyPerShard();
+    ASSERT_EQ(keys.size(), Cache::kShards);
+    std::set<std::size_t> shards;
+    for (const int k : keys) {
+        // The shard is a pure function of the key.
+        EXPECT_EQ(Cache::shardOf(k), Cache::shardOf(k));
+        shards.insert(Cache::shardOf(k));
+    }
+    EXPECT_EQ(shards.size(), Cache::kShards);
+
+    // 4,096 consecutive keys spread over every shard, none starved.
+    std::vector<int> per_shard(Cache::kShards, 0);
+    for (int k = 0; k < 4096; ++k)
+        ++per_shard[Cache::shardOf(k)];
+    for (const int n : per_shard)
+        EXPECT_GT(n, 4096 / static_cast<int>(Cache::kShards) / 2);
+}
+
+TEST(MemoCache, SizePeekAndPutSpanShards)
+{
+    MemoCache<int, int> cache;
+    const std::vector<int> keys = keyPerShard();
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        if (i % 2 == 0)
+            cache.put(keys[i], keys[i] * 10);
+        else
+            cache.getOrCompute(keys[i], [&] { return keys[i] * 10; });
+    }
+    EXPECT_EQ(cache.size(), keys.size());
+    EXPECT_EQ(cache.computeCount(), keys.size() / 2);
+    for (const int k : keys) {
+        const int *value = cache.peek(k);
+        ASSERT_NE(value, nullptr);
+        EXPECT_EQ(*value, k * 10);
+    }
+    // An existing entry wins over put(), whichever way it got in, and
+    // a hit never recomputes.
+    for (const int k : keys)
+        cache.put(k, -1);
+    for (const int k : keys) {
+        EXPECT_EQ(*cache.peek(k), k * 10);
+        EXPECT_EQ(cache.getOrCompute(k, [] { return -1; }), k * 10);
+    }
+    EXPECT_EQ(cache.size(), keys.size());
+    EXPECT_EQ(cache.computeCount(), keys.size() / 2);
+    EXPECT_EQ(cache.peek(-7), nullptr);
+}
+
+TEST(MemoCache, SingleFlightOnOneHotKeyPerShard)
+{
+    MemoCache<int, int> cache;
+    const std::vector<int> keys = keyPerShard();
+    std::vector<std::atomic<int>> computed(keys.size());
+    std::vector<std::thread> threads;
+    std::vector<std::vector<int>> seen(8);
+    for (int t = 0; t < 8; ++t) {
+        threads.emplace_back([&, t] {
+            // Each thread walks the hot keys from its own offset, so
+            // every shard sees racing first lookups.
+            for (std::size_t n = 0; n < keys.size(); ++n) {
+                const std::size_t i = (n + t) % keys.size();
+                const int &value = cache.getOrCompute(keys[i], [&] {
+                    computed[i].fetch_add(1);
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(2));
+                    return keys[i] + 1;
+                });
+                seen[t].push_back(value - keys[i]);
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    for (const auto &c : computed)
+        EXPECT_EQ(c.load(), 1);
+    EXPECT_EQ(cache.computeCount(), keys.size());
+    EXPECT_EQ(cache.size(), keys.size());
+    for (const auto &values : seen) {
+        ASSERT_EQ(values.size(), keys.size());
+        for (const int v : values)
+            EXPECT_EQ(v, 1);
+    }
+}
+
+TEST(MemoCache, ThrowInOneShardLeavesOtherShardsServing)
+{
+    MemoCache<int, int> cache;
+    const std::vector<int> keys = keyPerShard();
+    const int failing = keys[0];
+    std::atomic<bool> others_done{false};
+    std::atomic<int> served{0};
+
+    // The failing flight stays open until every other shard has been
+    // served, so those lookups provably ran while it was in flight.
+    std::thread flight([&] {
+        EXPECT_THROW(cache.getOrCompute(failing,
+                                        [&]() -> int {
+                                            while (!others_done.load())
+                                                std::this_thread::yield();
+                                            throw std::runtime_error(
+                                                "flight failed");
+                                        }),
+                     std::runtime_error);
+    });
+    std::vector<std::thread> others;
+    for (std::size_t i = 1; i < keys.size(); ++i) {
+        others.emplace_back([&, i] {
+            if (cache.getOrCompute(keys[i], [&] { return keys[i]; }) ==
+                keys[i])
+                served.fetch_add(1);
+        });
+    }
+    for (auto &th : others)
+        th.join();
+    EXPECT_EQ(served.load(), static_cast<int>(keys.size()) - 1);
+    others_done.store(true);
+    flight.join();
+
+    // The failure poisoned nothing: its key retries, the rest hit.
+    EXPECT_EQ(cache.peek(failing), nullptr);
+    EXPECT_EQ(cache.size(), keys.size() - 1);
+    EXPECT_EQ(cache.getOrCompute(failing, [] { return 42; }), 42);
+    for (std::size_t i = 1; i < keys.size(); ++i)
+        EXPECT_EQ(*cache.peek(keys[i]), keys[i]);
+    EXPECT_EQ(cache.size(), keys.size());
+}
+
 TEST(Lab, CharacterizeAllMatchesSerialExactly)
 {
     const auto profiles = smallSet();
@@ -481,6 +628,44 @@ TEST(Lab, MeasureAllPairsMatchesSerialExactly)
     // One simulation per unordered pair, not per ordered pair.
     const std::size_t n = profiles.size();
     EXPECT_EQ(parallel.stats().pairs, n * (n - 1) / 2);
+}
+
+TEST(Lab, SinglePairCallsAfterMeasureAllPairsAreStoreHits)
+{
+    const auto profiles = smallSet();
+    const auto mode = CoLocationMode::kSmt;
+    Lab lab(sim::MachineConfig::ivyBridge(), kWarmup, kMeasure);
+    lab.setParallelism(4);
+    const auto matrix = lab.measureAllPairs(profiles, mode);
+
+    obs::Registry &registry = obs::Registry::global();
+    obs::Counter &misses = registry.counter("lab.cache.pair.misses");
+    obs::Counter &hits = registry.counter("lab.cache.pair.hits");
+    obs::Counter &batches = registry.counter("pool.batches");
+    const std::uint64_t misses_before = misses.value();
+    const std::uint64_t hits_before = hits.value();
+    const std::uint64_t batches_before = batches.value();
+    const std::uint64_t computed_before = lab.stats().total();
+
+    const std::size_t n = profiles.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            if (i != j) {
+                EXPECT_EQ(lab.pairDegradation(profiles[i], profiles[j],
+                                              mode),
+                          matrix[i][j]);
+            }
+        }
+    }
+    EXPECT_EQ(misses.value(), misses_before);
+    EXPECT_EQ(hits.value() - hits_before, n * (n - 1));
+
+    // A repeat batch is all store hits: same matrix, and it is served
+    // on the caller without waking the pool.
+    EXPECT_EQ(lab.measureAllPairs(profiles, mode), matrix);
+    EXPECT_EQ(misses.value(), misses_before);
+    EXPECT_EQ(batches.value(), batches_before);
+    EXPECT_EQ(lab.stats().total(), computed_before);
 }
 
 TEST(Lab, SoloIpcAllMatchesSerialExactly)

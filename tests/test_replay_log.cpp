@@ -33,7 +33,7 @@
 namespace smite::sim {
 namespace {
 
-using Store = core::MemoCache<ReplayKey, ReplayEntry>;
+using Store = ReplayStore;
 
 /** A scratch log path, removed on construction and destruction. */
 struct TempLog {

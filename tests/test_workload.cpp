@@ -225,6 +225,21 @@ TEST(Generator, StreamDigestIsPinned)
     EXPECT_NE(streamDigest(copy), streamDigest(mcf));
 }
 
+TEST(Generator, SourceBuiltFromAHeldDigestMatchesHashedSource)
+{
+    const WorkloadProfile &mcf = spec2006::byName("429.mcf");
+    ProfileUopSource hashed(mcf, 2);
+    ProfileUopSource held(mcf, 2, streamDigest(mcf, 2));
+    EXPECT_EQ(held.streamDigest(), hashed.streamDigest());
+    for (int i = 0; i < 1000; ++i) {
+        const sim::Uop a = hashed.next();
+        const sim::Uop b = held.next();
+        ASSERT_EQ(a.type, b.type);
+        ASSERT_EQ(a.pc, b.pc);
+        ASSERT_EQ(a.addr, b.addr);
+    }
+}
+
 TEST(Generator, MixFractionsApproximatelyRealized)
 {
     const auto &p = spec2006::byName("444.namd");
