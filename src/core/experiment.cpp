@@ -100,7 +100,9 @@ coRunnerSlot(CoLocationMode mode, int threads, int k,
 Lab::Lab(const sim::MachineConfig &config, sim::Cycle warmup,
          sim::Cycle measure)
     : machine_(config), suite_(rulers::defaultSuite(config)),
-      warmup_(warmup), measure_(measure)
+      warmup_(warmup), measure_(measure),
+      envAttempts_(envInt("SMITE_LAB_RETRIES", 3)),
+      envTrials_(envInt("SMITE_LAB_TRIALS", 1))
 {
     // In Kind order.
     static constexpr const char *kMetric[] = {
@@ -123,7 +125,7 @@ Lab::fanOut(std::size_t n, const KeyFn &key, const MeasureFn &measure)
         (store_.peek(key(i)) ? stored : missing).push_back(i);
     parallelFor(
         missing.size(), [&](std::size_t k) { measure(missing[k]); },
-        parallelism());
+        parallelism(), Wake::kHeld);
     for (const std::size_t i : stored)
         measure(i);
 }
@@ -137,17 +139,13 @@ Lab::parallelism() const
 int
 Lab::maxAttempts() const
 {
-    if (maxAttempts_ > 0)
-        return maxAttempts_;
-    return envInt("SMITE_LAB_RETRIES", 3);
+    return maxAttempts_ > 0 ? maxAttempts_ : envAttempts_;
 }
 
 int
 Lab::trials() const
 {
-    if (trials_ > 0)
-        return trials_;
-    return envInt("SMITE_LAB_TRIALS", 1);
+    return trials_ > 0 ? trials_ : envTrials_;
 }
 
 void

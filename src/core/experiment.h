@@ -96,7 +96,8 @@ class Lab
     /**
      * Attempts per measurement before a transient MeasurementError
      * is surfaced: 0 (default) means the SMITE_LAB_RETRIES
-     * environment variable, else 3. 1 disables retrying.
+     * environment variable as read when the Lab was constructed,
+     * else 3. 1 disables retrying.
      */
     void setMaxAttempts(int attempts) { maxAttempts_ = attempts; }
 
@@ -106,8 +107,9 @@ class Lab
     /**
      * Independent trials per scalar measurement, aggregated with an
      * MAD-robust median: 0 (default) means the SMITE_LAB_TRIALS
-     * environment variable, else 1 (single-shot, byte-identical to
-     * the historical protocol).
+     * environment variable as read when the Lab was constructed,
+     * else 1 (single-shot, byte-identical to the historical
+     * protocol).
      */
     void setTrials(int trials) { trials_ = trials; }
 
@@ -318,8 +320,11 @@ class Lab
      * Call @p measure(i) for every i < n. Only the indices whose
      * store entry @p key(i) is not ready yet fan out across the pool;
      * the rest are store hits and run on the caller afterwards, so a
-     * batch of hits never wakes the pool. Each index is measured
-     * exactly once either way.
+     * batch of hits never wakes the pool. The misses go out as a held
+     * batch (core::Wake::kHeld): its helpers wake only once a task
+     * starts a live simulation, so misses the replay store serves run
+     * on the caller too. Each index is measured exactly once either
+     * way.
      */
     template <typename KeyFn, typename MeasureFn>
     void fanOut(std::size_t n, const KeyFn &key, const MeasureFn &measure);
@@ -423,6 +428,9 @@ class Lab
     int parallelism_ = 0;
     int maxAttempts_ = 0;
     int trials_ = 0;
+    // SMITE_LAB_RETRIES and SMITE_LAB_TRIALS, read once on construction.
+    int envAttempts_;
+    int envTrials_;
 
     Store store_;
     /**

@@ -19,8 +19,9 @@ namespace {
 
 /**
  * Pool metrics (docs/OBSERVABILITY.md): batches dispatched to a pool
- * and calls served inline on the caller, tasks executed, the width of
- * the last dispatched batch, and — only while SMITE_METRICS is on,
+ * and calls served inline on the caller, held batches that never woke
+ * a helper, tasks executed, the width of the last dispatched batch,
+ * and — only while SMITE_METRICS is on,
  * because it costs two clock reads per task — a task-latency
  * histogram in microseconds.
  */
@@ -29,6 +30,8 @@ struct PoolMetrics {
         obs::Registry::global().counter("pool.batches");
     obs::Counter &inline_batches =
         obs::Registry::global().counter("pool.inline_batches");
+    obs::Counter &unwoken_batches =
+        obs::Registry::global().counter("pool.unwoken_batches");
     obs::Counter &tasks = obs::Registry::global().counter("pool.tasks");
     obs::Gauge &width = obs::Registry::global().gauge("pool.width");
     obs::Histogram &task_us =
@@ -176,11 +179,14 @@ ThreadPool::workerLoop()
     std::uint64_t seen = 0;
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-        // Join only an open batch this worker has not served yet. A
-        // worker that wakes after its batch closed keeps sleeping, so
-        // it can never claim an index against a stale cursor.
+        // Join only an open, unheld batch this worker has not served
+        // yet. A worker that wakes after its batch closed keeps
+        // sleeping, so it can never claim an index against a stale
+        // cursor; one that wakes spuriously during a held batch does
+        // too, so a held batch runs on the caller until the hint.
         work_cv_.wait(lock, [&] {
-            return stop_ || (body_ != nullptr && epoch_ != seen);
+            return stop_ ||
+                   (body_ != nullptr && !held_ && epoch_ != seen);
         });
         if (stop_)
             return;
@@ -199,7 +205,8 @@ ThreadPool::workerLoop()
 
 void
 ThreadPool::parallelFor(std::size_t n,
-                        const std::function<void(std::size_t)> &body)
+                        const std::function<void(std::size_t)> &body,
+                        Wake wake)
 {
     if (n == 0)
         return;
@@ -226,36 +233,44 @@ ThreadPool::parallelFor(std::size_t n,
         std::lock_guard<std::mutex> lock(mu_);
         body_ = &body;
         total_ = n;
+        // Wake only as many workers as there are iterations beyond
+        // the caller's own; the rest stay parked.
+        helpers_ = std::min(n - 1, workers_.size());
+        held_ = wake == Wake::kHeld;
         next_.store(0, std::memory_order_relaxed);
         ++epoch_;
     }
-    // Wake only as many workers as there are iterations beyond the
-    // caller's own; the rest stay parked.
-    const std::size_t helpers = std::min(n - 1, workers_.size());
-    for (std::size_t k = 0; k < helpers; ++k)
-        work_cv_.notify_one();
+    if (wake == Wake::kHeld)
+        detail::t_heldPool = this;
+    else
+        notifyHelpers();
     // The caller is a worker too (drainBatch never throws).
     t_inPoolTask = true;
     drainBatch(body, n);
     t_inPoolTask = false;
+    detail::t_heldPool = nullptr;
     // Every index is claimed once the caller's drain returns, and only
     // joined workers run claimed indices, so the batch is complete
     // when none is left inside it. Closing it under the same lock
     // keeps any later waker out.
     std::exception_ptr error;
+    bool unwoken = false;
     {
         std::unique_lock<std::mutex> lock(mu_);
         done_cv_.wait(lock, [&] { return active_ == 0; });
         body_ = nullptr;
+        unwoken = std::exchange(held_, false);
         error = std::exchange(error_, nullptr);
     }
+    if (unwoken)
+        metrics.unwoken_batches.add();
     if (error)
         std::rethrow_exception(error);
 }
 
 void
 parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
-            int threads)
+            int threads, Wake wake)
 {
     if (n == 0)
         return;
@@ -265,7 +280,7 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
         runInline(n, body);
         return;
     }
-    sharedPool(threads).parallelFor(n, body);
+    sharedPool(threads).parallelFor(n, body, wake);
 }
 
 } // namespace smite::core

@@ -31,6 +31,17 @@
  * inside pool tasks cannot deadlock. `pool.inline_batches` counts
  * these calls; `pool.batches` counts the ones dispatched to a pool.
  *
+ * Held batches (Wake::kHeld): the batch is published to the pool as
+ * usual, but its helpers stay parked while the caller drains it
+ * alone, until a task on the caller calls expectWork(). The Lab holds
+ * its batches and sim::Machine calls expectWork() on entering a live
+ * simulation, so a batch of memo hits — microseconds per task, slower
+ * when several run at once — costs what the serial loop costs, and a
+ * batch that simulates wakes its helpers as its first simulation
+ * starts. Which thread runs which index never shows in the results.
+ * `pool.unwoken_batches` counts held batches that finished without
+ * waking a helper.
+ *
  * The width defaults to the SMITE_THREADS environment variable when
  * set, else std::thread::hardware_concurrency().
  */
@@ -46,9 +57,31 @@
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace smite::core {
+
+class ThreadPool;
+
+/** How a pool batch wakes the helper threads that share it. */
+enum class Wake {
+    kEager,  ///< when the batch is published
+    kHeld,   ///< when a task on the caller calls expectWork()
+};
+
+namespace detail {
+/** The pool whose held, not yet woken batch this thread drains. */
+inline thread_local ThreadPool *t_heldPool = nullptr;
+} // namespace detail
+
+/**
+ * Hint that the calling task is about to do work long enough to repay
+ * a thread wake-up: wakes the helpers of the held batch this thread
+ * drains, if any; a no-op everywhere else. Header-only, so layers
+ * below core (sim::Machine) can call it without linking the pool.
+ */
+inline void expectWork();
 
 /**
  * Worker threads to use when the caller does not say: the
@@ -86,12 +119,34 @@ class ThreadPool
      * any iteration is rethrown here (remaining iterations still
      * run). A call made while the pool runs another batch, or from
      * inside any pool task, runs as a plain loop on the caller
-     * instead; there the first exception propagates at once.
+     * instead; there the first exception propagates at once. With
+     * @p wake = Wake::kHeld the helpers join only once a task on the
+     * caller calls expectWork().
      */
     void parallelFor(std::size_t n,
-                     const std::function<void(std::size_t)> &body);
+                     const std::function<void(std::size_t)> &body,
+                     Wake wake = Wake::kEager);
 
   private:
+    friend void expectWork();
+
+    /** Release the held batch's helpers (see Wake::kHeld). */
+    void wakeHelpers()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            held_ = false;
+        }
+        notifyHelpers();
+    }
+
+    /** Notify the open batch's helpers; only its caller calls this. */
+    void notifyHelpers()
+    {
+        for (std::size_t k = 0; k < helpers_; ++k)
+            work_cv_.notify_one();
+    }
+
     void workerLoop();
     /** Claim and run iterations of one batch until none are left. */
     void drainBatch(const std::function<void(std::size_t)> &body,
@@ -105,6 +160,8 @@ class ThreadPool
     // each worker under mu_ when it joins. nullptr = no batch open.
     const std::function<void(std::size_t)> *body_ = nullptr;
     std::size_t total_ = 0;
+    std::size_t helpers_ = 0;           ///< workers the batch may use
+    bool held_ = false;                 ///< helpers not woken yet
     std::atomic<std::size_t> next_{0};  ///< shared iteration cursor
     int active_ = 0;                    ///< workers inside the batch
     std::uint64_t epoch_ = 0;           ///< batch generation counter
@@ -121,7 +178,14 @@ class ThreadPool
  */
 void parallelFor(std::size_t n,
                  const std::function<void(std::size_t)> &body,
-                 int threads = 0);
+                 int threads = 0, Wake wake = Wake::kEager);
+
+inline void
+expectWork()
+{
+    if (ThreadPool *pool = std::exchange(detail::t_heldPool, nullptr))
+        pool->wakeHelpers();
+}
 
 } // namespace smite::core
 

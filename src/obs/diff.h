@@ -11,9 +11,10 @@
  * consumers may compare across toolchains).
  *
  * What is compared: `name`, the full `results` tree (recursively),
- * and the `partial` flag. `timings` are always skipped (wall-clock is
- * never reproducible); `metrics` are compared only on request. The
- * tools/report_diff CLI wraps this for CI use.
+ * and the `partial` flag. `timings` and `host` are always skipped
+ * (wall-clock and pool counts are never reproducible across hosts);
+ * `metrics` are compared only on request. The tools/report_diff CLI
+ * wraps this for CI use.
  */
 
 #ifndef SMITE_OBS_DIFF_H

@@ -212,18 +212,25 @@ Registry::names() const
 }
 
 json::Value
-Registry::toJson() const
+Registry::toJson(MetricScope scope) const
 {
+    const bool host = scope == MetricScope::kHost;
     std::lock_guard<std::mutex> lock(mu_);
     json::Value counters = json::Value::object();
-    for (const auto &[name, counter] : counters_)
-        counters.set(name, json::Value(counter->value()));
+    for (const auto &[name, counter] : counters_) {
+        if (isHostMetric(name) == host)
+            counters.set(name, json::Value(counter->value()));
+    }
     json::Value gauges = json::Value::object();
-    for (const auto &[name, gauge] : gauges_)
-        gauges.set(name, json::Value(gauge->value()));
+    for (const auto &[name, gauge] : gauges_) {
+        if (isHostMetric(name) == host)
+            gauges.set(name, json::Value(gauge->value()));
+    }
     json::Value histograms = json::Value::object();
-    for (const auto &[name, histogram] : histograms_)
-        histograms.set(name, histogram->summaryJson());
+    for (const auto &[name, histogram] : histograms_) {
+        if (isHostMetric(name) == host)
+            histograms.set(name, histogram->summaryJson());
+    }
 
     json::Value out = json::Value::object();
     out.set("counters", std::move(counters));

@@ -32,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/json.h"
@@ -149,6 +150,24 @@ class Histogram
 };
 
 /**
+ * True for a metric whose value depends on the host or the thread
+ * count rather than on the run's inputs: the `pool.*` family. A run
+ * report holds these in its `host` section, apart from the
+ * reproducible `metrics`.
+ */
+inline bool
+isHostMetric(std::string_view name)
+{
+    return name.substr(0, 5) == "pool.";
+}
+
+/** Which registered metrics a Registry snapshot holds. */
+enum class MetricScope {
+    kRun,   ///< every metric but the host metrics
+    kHost,  ///< only the host metrics (isHostMetric())
+};
+
+/**
  * The process-wide metric namespace. Lookup-or-create takes a mutex;
  * the returned references are stable for the process lifetime, so
  * call sites hoist them (member pointer or function-local static) and
@@ -173,10 +192,11 @@ class Registry
     std::vector<std::string> names() const;
 
     /**
-     * Snapshot as the run report's "metrics" section:
+     * Snapshot of the metrics in @p scope, as the run report's
+     * "metrics" (kRun) or "host" (kHost) section:
      * {"counters": {...}, "gauges": {...}, "histograms": {...}}.
      */
-    json::Value toJson() const;
+    json::Value toJson(MetricScope scope) const;
 
     /**
      * Reset all values to zero (registrations survive, references

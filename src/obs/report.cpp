@@ -23,7 +23,8 @@ RunReport::toJson() const
             incidents.push(json::Value(what));
         doc.set("incidents", std::move(incidents));
     }
-    doc.set("metrics", Registry::global().toJson());
+    doc.set("metrics", Registry::global().toJson(MetricScope::kRun));
+    doc.set("host", Registry::global().toJson(MetricScope::kHost));
     return doc;
 }
 

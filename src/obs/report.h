@@ -21,9 +21,16 @@
  *   "partial":   true,                        // only when degraded
  *   "incidents": ["dropped sample ...", ...], // only when degraded
  *   "metrics": { "counters": {...}, "gauges": {...},
+ *                "histograms": {...} },
+ *   "host":    { "counters": {...}, "gauges": {...},
  *                "histograms": {...} }
  * }
  * @endcode
+ *
+ * `metrics` holds what the run's inputs determine; `host` holds the
+ * metrics that depend on the host or the thread count (the `pool.*`
+ * family, obs::isHostMetric()), so two runs of one harness at
+ * different widths differ only there.
  *
  * The `partial` / `incidents` pair appears only on runs that absorbed
  * failures (see obs/incident.h): consumers can treat their absence as
@@ -92,7 +99,7 @@ class RunReport
 
     /**
      * The complete document, including a point-in-time snapshot of
-     * the global metrics Registry.
+     * the global metrics Registry (split into `metrics` and `host`).
      */
     json::Value toJson() const;
 

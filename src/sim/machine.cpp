@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "core/parallel.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -156,6 +157,8 @@ ReplayEntry
 Machine::runLive(const std::vector<Placement> &placements, Cycle warmup,
                  Cycle measure, bool snapshots) const
 {
+    // A live run repays waking the helpers of a held pool batch.
+    core::expectWork();
     MemorySystem mem(config_);
 
     // Cores are constructed lazily, only where a placement lands: an

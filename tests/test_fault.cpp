@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -253,6 +254,36 @@ TEST_F(FaultTest, MedianOfTrialsSuppressesJitter)
     Lab &clean = *clean_holder;
     clean.setTrials(5);
     EXPECT_EQ(clean.soloIpc(a), baseline);
+}
+
+TEST_F(FaultTest, LabReadsRetryAndTrialKnobsOnceOnConstruction)
+{
+    setenv("SMITE_LAB_TRIALS", "3", 1);
+    setenv("SMITE_LAB_RETRIES", "bogus", 1);
+    ::testing::internal::CaptureStderr();
+    const auto lab_holder = makeLab();
+    Lab &lab = *lab_holder;
+    unsetenv("SMITE_LAB_TRIALS");
+    unsetenv("SMITE_LAB_RETRIES");
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(lab.trials(), 3);       // read before the unset
+        EXPECT_EQ(lab.maxAttempts(), 3);  // invalid -> default
+    }
+    lab.soloIpc(workload::spec2006::byName("429.mcf"));
+    const std::string warnings = ::testing::internal::GetCapturedStderr();
+    const std::string warning =
+        "smite: SMITE_LAB_RETRIES='bogus' invalid, using 3\n";
+    EXPECT_EQ(warnings, warning);
+
+    // The setters still override, and 0 restores the knob's value.
+    lab.setTrials(2);
+    lab.setMaxAttempts(5);
+    EXPECT_EQ(lab.trials(), 2);
+    EXPECT_EQ(lab.maxAttempts(), 5);
+    lab.setTrials(0);
+    lab.setMaxAttempts(0);
+    EXPECT_EQ(lab.trials(), 3);
+    EXPECT_EQ(lab.maxAttempts(), 3);
 }
 
 TEST_F(FaultTest, TrainSmiteSurvivesChaosAndReproducesCleanBaseline)

@@ -280,6 +280,41 @@ TEST_F(ObsTest, RunReportRoundTripsThroughParser)
     EXPECT_EQ(hist->find("count")->asNumber(), 1.0);
 }
 
+TEST_F(ObsTest, RunReportKeepsHostMetricsInHostSection)
+{
+    obs::Registry::global().counter("pool.test_batches").add(3);
+    obs::Registry::global().counter("test.host.run_counter").add(5);
+
+    obs::RunReport report("test_host_run");
+    const json::Value doc = report.toJson();
+    const json::Value *metrics = doc.find("metrics");
+    const json::Value *host = doc.find("host");
+    ASSERT_NE(metrics, nullptr);
+    ASSERT_NE(host, nullptr);
+    EXPECT_EQ(metrics->find("counters")->find("pool.test_batches"),
+              nullptr);
+    EXPECT_EQ(
+        metrics->find("counters")->find("test.host.run_counter")->asNumber(),
+        5.0);
+    EXPECT_EQ(host->find("counters")->find("pool.test_batches")->asNumber(),
+              3.0);
+    for (const char *kind : {"counters", "gauges", "histograms"}) {
+        for (const auto &[name, value] : host->find(kind)->fields())
+            EXPECT_TRUE(obs::isHostMetric(name)) << name;
+        for (const auto &[name, value] : metrics->find(kind)->fields())
+            EXPECT_FALSE(obs::isHostMetric(name)) << name;
+    }
+
+    // A report diff, metrics included, never looks at `host`.
+    obs::Registry::global().counter("pool.test_batches").add(1);
+    const json::Value later = report.toJson();
+    obs::ReportDiffOptions opts;
+    opts.include_metrics = true;
+    EXPECT_TRUE(obs::diffReports(doc, later, opts).empty());
+    obs::Registry::global().counter("test.host.run_counter").add(1);
+    EXPECT_EQ(obs::diffReports(doc, report.toJson(), opts).size(), 1u);
+}
+
 TEST_F(ObsTest, ReportAndTraceFilesWriteAndParse)
 {
     obs::TraceSession &session = obs::TraceSession::global();

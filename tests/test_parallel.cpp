@@ -233,6 +233,122 @@ TEST(ParallelFor, NestedAndConcurrentCallsFinishWithinWidth)
     }
 }
 
+/** Value of the registry counter @p name. */
+std::uint64_t
+counterValue(const char *name)
+{
+    return obs::Registry::global().counter(name).value();
+}
+
+TEST(ParallelFor, HeldBatchWithoutHintRunsOnCallerAndWakesNoHelper)
+{
+    ThreadPool pool(4);
+    const std::uint64_t unwoken = counterValue("pool.unwoken_batches");
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::thread::id> ran(64);
+    pool.parallelFor(
+        ran.size(),
+        [&](std::size_t i) { ran[i] = std::this_thread::get_id(); },
+        Wake::kHeld);
+    for (const std::thread::id id : ran)
+        EXPECT_EQ(id, caller);
+    EXPECT_EQ(counterValue("pool.unwoken_batches"), unwoken + 1);
+
+    // The pool is still usable, and an eager batch is never counted.
+    std::atomic<int> sum{0};
+    pool.parallelFor(50, [&](std::size_t i) {
+        sum.fetch_add(static_cast<int>(i), std::memory_order_relaxed);
+    });
+    EXPECT_EQ(sum.load(), 49 * 50 / 2);
+    EXPECT_EQ(counterValue("pool.unwoken_batches"), unwoken + 1);
+}
+
+TEST(ParallelFor, HeldBatchWakesHelpersOnHint)
+{
+    ThreadPool pool(4);
+    const std::uint64_t unwoken = counterValue("pool.unwoken_batches");
+    const std::thread::id caller = std::this_thread::get_id();
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    std::atomic<int> helped{0};
+    bool woke = false;
+    pool.parallelFor(
+        16,
+        [&](std::size_t i) {
+            {
+                std::lock_guard<std::mutex> lock(mu);
+                ids.insert(std::this_thread::get_id());
+            }
+            if (std::this_thread::get_id() != caller) {
+                helped.fetch_add(1);
+                return;
+            }
+            if (i != 0)
+                return;
+            // Index 0 is the caller's first task: no helper can claim
+            // an index before the hint. Wait (bounded) for a helper to
+            // run one of the other 15.
+            expectWork();
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(30);
+            while (helped.load() == 0 &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+            woke = helped.load() > 0;
+        },
+        Wake::kHeld);
+    EXPECT_TRUE(woke);
+    EXPECT_GE(ids.size(), 2u);
+    EXPECT_EQ(counterValue("pool.unwoken_batches"), unwoken);
+
+    // The hint is a no-op outside a held batch.
+    expectWork();
+}
+
+TEST(ParallelFor, HeldBatchRethrowsAndRunsNestedCallsInline)
+{
+    ThreadPool pool(4);
+    for (const bool hint : {false, true}) {
+        EXPECT_THROW(pool.parallelFor(
+                         16,
+                         [&](std::size_t i) {
+                             if (hint)
+                                 expectWork();
+                             if (i == 7)
+                                 throw std::runtime_error("boom");
+                         },
+                         Wake::kHeld),
+                     std::runtime_error);
+
+        // Each task's nested loop runs inline on the task's thread.
+        std::vector<std::atomic<int>> hits(8 * 16);
+        std::atomic<int> foreign{0};
+        const std::uint64_t inline_before =
+            counterValue("pool.inline_batches");
+        pool.parallelFor(
+            8,
+            [&](std::size_t o) {
+                if (hint)
+                    expectWork();
+                const std::thread::id outer = std::this_thread::get_id();
+                parallelFor(
+                    16,
+                    [&](std::size_t i) {
+                        hits[o * 16 + i].fetch_add(1);
+                        if (std::this_thread::get_id() != outer)
+                            foreign.fetch_add(1);
+                    },
+                    4, Wake::kHeld);
+            },
+            Wake::kHeld);
+        for (const auto &h : hits)
+            EXPECT_EQ(h.load(), 1);
+        EXPECT_EQ(foreign.load(), 0);
+        EXPECT_EQ(counterValue("pool.inline_batches") - inline_before,
+                  8u);
+    }
+}
+
 TEST(ParallelFor, SmiteThreadsOneDegradesToSerialPath)
 {
     ScopedThreadsEnv env("1");
@@ -810,6 +926,75 @@ TEST(Lab, PairDirectionIndependentOfCallOrder)
               backward.pairDegradation(a, b, CoLocationMode::kSmt));
     EXPECT_EQ(b_ba,
               forward.pairDegradation(b, a, CoLocationMode::kSmt));
+}
+
+/** Every characterization value and pair degradation, in order. */
+std::vector<double>
+campaignValues(Lab &lab)
+{
+    const auto profiles = smallSet();
+    std::vector<double> out;
+    for (const Characterization &c :
+         lab.characterizeAll(profiles, CoLocationMode::kSmt)) {
+        out.insert(out.end(), c.sensitivity.begin(), c.sensitivity.end());
+        out.insert(out.end(), c.contentiousness.begin(),
+                   c.contentiousness.end());
+    }
+    for (const auto &row : lab.measureAllPairs(profiles, CoLocationMode::kSmt))
+        out.insert(out.end(), row.begin(), row.end());
+    return out;
+}
+
+TEST(Lab, ReplayServedBatchesRunOnCallerAndWakeNoHelper)
+{
+    // Intervals no other test uses, so the first Lab's runs are live.
+    constexpr sim::Cycle kOwnWarmup = 1'900;
+    Lab cold(sim::MachineConfig::ivyBridge(), kOwnWarmup, kMeasure);
+    cold.setParallelism(4);
+    const std::vector<double> reference = campaignValues(cold);
+
+    // A fresh Lab misses its own store on every entry, but every run
+    // is a replay hit: each batch that reaches the pool stays on the
+    // caller.
+    const std::uint64_t batches = counterValue("pool.batches");
+    const std::uint64_t unwoken = counterValue("pool.unwoken_batches");
+    const std::uint64_t live = counterValue("machine.replay.misses");
+    Lab warm(sim::MachineConfig::ivyBridge(), kOwnWarmup, kMeasure);
+    warm.setParallelism(4);
+    EXPECT_EQ(campaignValues(warm), reference);
+    EXPECT_EQ(counterValue("machine.replay.misses"), live);
+    EXPECT_GT(warm.stats().total(), 0u);
+    EXPECT_GT(counterValue("pool.batches"), batches);
+    EXPECT_EQ(counterValue("pool.unwoken_batches") - unwoken,
+              counterValue("pool.batches") - batches);
+}
+
+TEST(Lab, ResultsMatchAcrossWidthsColdAndWarm)
+{
+    // Per interval pair (none used by another test): measured cold at
+    // one width, then served from the replay store at widths 1 and 4.
+    struct Case {
+        sim::Cycle warmup;
+        int cold_width;
+    };
+    for (const Case c : {Case{1'700, 4}, Case{1'800, 1}}) {
+        const std::uint64_t batches = counterValue("pool.batches");
+        const std::uint64_t unwoken = counterValue("pool.unwoken_batches");
+        Lab cold(sim::MachineConfig::ivyBridge(), c.warmup, kMeasure);
+        cold.setParallelism(c.cold_width);
+        const std::vector<double> reference = campaignValues(cold);
+        if (c.cold_width > 1) {
+            // A cold batch wakes its helpers.
+            EXPECT_LT(counterValue("pool.unwoken_batches") - unwoken,
+                      counterValue("pool.batches") - batches);
+        }
+        for (const int width : {1, 4}) {
+            Lab warm(sim::MachineConfig::ivyBridge(), c.warmup, kMeasure);
+            warm.setParallelism(width);
+            EXPECT_EQ(campaignValues(warm), reference)
+                << "warmup " << c.warmup << ", width " << width;
+        }
+    }
 }
 
 } // namespace

@@ -12,11 +12,13 @@
  *
  *   obs_check report <file>.report.json [--nonzero name...]
  *       Run report: requires the smite-run-report/1 schema stamp, the
- *       run name, and the config/timings/results/metrics sections with
- *       well-formed histogram summaries. Prints every metric name, one
- *       per line. Each name after --nonzero must additionally exist in
- *       the snapshot with a nonzero value (histograms: count > 0) —
- *       the chaos smoke test uses this to prove faults actually fired.
+ *       run name, and the config/timings/results/metrics/host sections
+ *       with well-formed histogram summaries, every host metric
+ *       (obs::isHostMetric) in `host` and no other there. Prints every
+ *       metric name of both snapshots, one per line. Each name after
+ *       --nonzero must additionally exist with a nonzero value
+ *       (histograms: count > 0) — the chaos smoke test uses this to
+ *       prove faults actually fired.
  *
  * The printed names feed the tier-1 smoke test, which greps each one
  * against the catalog in docs/OBSERVABILITY.md.
@@ -30,6 +32,7 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "obs/report.h"
 
 namespace {
@@ -132,6 +135,49 @@ metricValue(const Value &metrics, const std::string &name)
     return 0.0;
 }
 
+/**
+ * Check one metric snapshot of a report ({"counters", "gauges",
+ * "histograms"}): well-formed values, every name unique across
+ * @p names, and each name a host metric exactly when @p host.
+ */
+bool
+checkSnapshot(const Value &snapshot, bool host,
+              std::set<std::string> *names)
+{
+    bool ok = true;
+    for (const char *kind : {"counters", "gauges", "histograms"}) {
+        const Value *section = requireObject(snapshot, kind, &ok);
+        if (section == nullptr)
+            return false;
+        for (const auto &[metric, value] : section->fields()) {
+            if (metric.empty())
+                return fail(std::string(kind) + " has an empty name");
+            if (!names->insert(metric).second)
+                return fail("metric listed twice: " + metric);
+            if (smite::obs::isHostMetric(metric) != host) {
+                return fail(metric + (host ? " is not a host metric"
+                                           : " belongs in host"));
+            }
+            if (std::string(kind) == "histograms") {
+                if (!value.isObject())
+                    return fail(metric + " summary is not an object");
+                for (const char *field :
+                     {"count", "sum", "mean", "min", "max", "p50",
+                      "p90", "p99"}) {
+                    const Value *v = value.find(field);
+                    if (v == nullptr || !v->isNumber()) {
+                        return fail(metric + " summary lacks numeric " +
+                                    field);
+                    }
+                }
+            } else if (!value.isNumber()) {
+                return fail(metric + " value is not a number");
+            }
+        }
+    }
+    return true;
+}
+
 bool
 checkReport(const char *path, const std::vector<std::string> &nonzero)
 {
@@ -160,45 +206,22 @@ checkReport(const char *path, const std::vector<std::string> &nonzero)
     requireObject(doc, "timings", &ok);
     requireObject(doc, "results", &ok);
     const Value *metrics = requireObject(doc, "metrics", &ok);
+    const Value *host = requireObject(doc, "host", &ok);
     if (!ok)
         return false;
 
     std::set<std::string> metric_names;
-    for (const char *kind : {"counters", "gauges", "histograms"}) {
-        const Value *section = requireObject(*metrics, kind, &ok);
-        if (section == nullptr)
-            return false;
-        for (const auto &[metric, value] : section->fields()) {
-            if (metric.empty())
-                return fail(std::string(kind) + " has an empty name");
-            if (!metric_names.insert(metric).second) {
-                return fail("metric registered under two kinds: " +
-                            metric);
-            }
-            if (std::string(kind) == "histograms") {
-                if (!value.isObject())
-                    return fail(metric + " summary is not an object");
-                for (const char *field :
-                     {"count", "sum", "mean", "min", "max", "p50",
-                      "p90", "p99"}) {
-                    const Value *v = value.find(field);
-                    if (v == nullptr || !v->isNumber()) {
-                        return fail(metric + " summary lacks numeric " +
-                                    field);
-                    }
-                }
-            } else if (!value.isNumber()) {
-                return fail(metric + " value is not a number");
-            }
-        }
-    }
+    if (!checkSnapshot(*metrics, false, &metric_names) ||
+        !checkSnapshot(*host, true, &metric_names))
+        return false;
     for (const std::string &metric : metric_names)
         std::printf("%s\n", metric.c_str());
 
     for (const std::string &want : nonzero) {
         if (metric_names.find(want) == metric_names.end())
             return fail("required metric missing: " + want);
-        if (metricValue(*metrics, want) == 0.0)
+        if (metricValue(*metrics, want) == 0.0 &&
+            metricValue(*host, want) == 0.0)
             return fail("required metric is zero: " + want);
     }
     return true;
